@@ -1,22 +1,24 @@
-"""The recursive single-convolution classifier and its residual variant.
+"""The recursive single-convolution classifier.
 
 One convolutional filter bank is applied T times to the channel-padded
 input.  Each iteration applies the shared convolution, the activation, a
-shortcut sum, a per-iteration batch norm, and the scheduled downsampling:
+shortcut sum over the last h+1 activations, a per-iteration batch norm, and
+the scheduled downsampling:
 
-    plain     x_{t+1} = D_t[ BN_t( x_t + act(conv(x_t)) ) ]
-    residual  x_{t+1} = D_t[ BN_t( act(conv(x_t)) + sum_i alpha[t,i] * x_{t-i} ) ]
+    x_{t+1} = D_t[ BN_t( act(conv(x_t)) + sum_i alpha[t,i] * x_{t-i} ) ]
 
-with lags restricted to t-i >= 0.  The head is a global max pool followed by
-a fully connected layer.  Both variants normalize the shortcut sum before
-pooling, so masking the residual sum to a unit lag-0 coefficient reproduces
-the plain recursion bit for bit.  Whenever a downsampling fires, every
+with lags restricted to 0 <= i <= min(t, h).  The plain net is the case h=0
+with a fixed, untrained alpha[t,0] = 1, so it runs the same recursion as the
+residual net, and a residual net whose alpha is masked to a unit lag-0
+coefficient reproduces it bit for bit.  Whenever a downsampling fires, every
 stored history entry is pooled as well, keeping all lags at the resolution
-of the newest activation.
+of the newest activation.  The head is a global max pool followed by a fully
+connected layer.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +32,6 @@ from .tensor import (
     MacTally,
     Tape,
     Value,
-    add,
     add_scaled,
     batchnorm,
     channel_pad,
@@ -233,36 +234,8 @@ class ThriftyNet:
         """Run the recursion; returns the (N, K) class scores as a Value."""
         cfg = self.config
         cur = channel_pad(Value(self._check_input(x)), cfg.filters, tape=tape)
-        if cfg.residual:
-            cur = self._iterate_residual(cur, mode, tape, tally, record)
-        else:
-            cur = self._iterate_plain(cur, mode, tape, tally, record)
-        pooled = global_max_pool(cur, tape=tape)
-        flat = reshape(pooled, (pooled.data.shape[0], cfg.filters), tape=tape)
-        if tally is not None:
-            tally.begin_head()
-        return linear(flat, self.fc_w, self.fc_b, tape=tape, tally=tally)
-
-    def _iterate_plain(self, cur: Value, mode, tape, tally, record) -> Value:
-        cfg = self.config
-        for t in range(cfg.iterations):
-            if tally is not None:
-                tally.begin_iteration()
-            a = self._activate(self._conv_step(cur, tape, tally), tape)
-            if record is not None:
-                record.act_means.append(a.data.mean(axis=(0, 2, 3)))
-            u = add(cur, a, tape=tape)
-            v = batchnorm(u, self.bn[t], mode, tape=tape)
-            if cfg.schedule[t] == 2:
-                v = maxpool2x2(v, tape=tape)
-            cur = v
-            if record is not None:
-                record.post_means.append(cur.data.mean(axis=(0, 2, 3)))
-                record.shapes.append(cur.data.shape)
-        return cur
-
-    def _iterate_residual(self, cur: Value, mode, tape, tally, record) -> Value:
-        cfg = self.config
+        # the plain net's lag-0 coefficient is a fixed 1 that is never trained
+        alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
         history: list[Value] = [cur]  # history[i] = x_{t-i}, newest first
         for t in range(cfg.iterations):
             if tally is not None:
@@ -270,9 +243,7 @@ class ThriftyNet:
             a = self._activate(self._conv_step(cur, tape, tally), tape)
             if record is not None:
                 record.act_means.append(a.data.mean(axis=(0, 2, 3)))
-            u = a
-            for i in range(min(t, cfg.history) + 1):  # lags with t - i >= 0
-                u = add_scaled(u, history[i], self.alpha, (t, i), tape=tape)
+            u = add_scaled(a, history, alpha, t, tape=tape)
             v = batchnorm(u, self.bn[t], mode, tape=tape)
             keep = history[: cfg.history]  # entries still reachable next step
             if cfg.schedule[t] == 2:
@@ -283,7 +254,11 @@ class ThriftyNet:
             if record is not None:
                 record.post_means.append(cur.data.mean(axis=(0, 2, 3)))
                 record.shapes.append(cur.data.shape)
-        return cur
+        pooled = global_max_pool(cur, tape=tape)
+        flat = reshape(pooled, (pooled.data.shape[0], cfg.filters), tape=tape)
+        if tally is not None:
+            tally.begin_head()
+        return linear(flat, self.fc_w, self.fc_b, tape=tape, tally=tally)
 
 
 def mean_activations(model: ThriftyNet, images: np.ndarray,
@@ -329,6 +304,16 @@ def mean_activations(model: ThriftyNet, images: np.ndarray,
 CHECKPOINT_MAGIC = b"THRIFTY1"
 _HEADER = struct.Struct("<8s4B7I")
 _DTYPE_CODES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
+
+
+def _tensor_shapes(cfg: ThriftyConfig) -> list[tuple[int, ...]]:
+    """Shapes of the checkpoint's tensors, in file order."""
+    f, (a, b), t, k = cfg.filters, cfg.kernel, cfg.iterations, cfg.num_classes
+    shapes = [(f, f, a, b)] if cfg.conv_mode == "classical" else [(f, 1, a, b), (f, f, 1, 1)]
+    shapes += [(f,)] * (4 * t)
+    if cfg.residual:
+        shapes.append((t, cfg.history + 1))
+    return shapes + [(f, k), (k,)]
 
 
 def _model_tensors(model: ThriftyNet) -> list[np.ndarray]:
@@ -418,21 +403,16 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
         num_classes=num_classes,
         input_channels=input_channels,
     )
+    shapes = _tensor_shapes(config)
+    need = dtype.itemsize * sum(math.prod(shape) for shape in shapes)
+    if len(blob) - reader.offset < need:
+        raise CheckpointError(
+            f"checkpoint truncated: header promises {need} bytes of tensors, "
+            f"file has {len(blob) - reader.offset} after the header"
+        )
     model = ThriftyNet(config, seed=0, dtype=dtype)
-    if model.conv is not None:
-        model.conv.weights.data = reader.array((f, f, a, b), dtype)
-    else:
-        model.depthwise.weights.data = reader.array((f, 1, a, b), dtype)
-        model.pointwise.weights.data = reader.array((f, f, 1, 1), dtype)
-    for state in model.bn:
-        state.gamma.data = reader.array((f,), dtype)
-        state.beta.data = reader.array((f,), dtype)
-        state.running_mean = reader.array((f,), dtype)
-        state.running_var = reader.array((f,), dtype)
-    if model.alpha is not None:
-        model.alpha.data = reader.array((t, h + 1), dtype)
-    model.fc_w.data = reader.array((f, num_classes), dtype)
-    model.fc_b.data = reader.array((num_classes,), dtype)
+    for tensor in _model_tensors(model):
+        tensor[...] = reader.array(tensor.shape, dtype)
     return model, reader.offset
 
 

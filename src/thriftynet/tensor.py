@@ -133,7 +133,12 @@ def check_tensor4(x: Array, name: str = "input") -> Array:
 
 @dataclass
 class ConvKernel:
-    """Bias-free convolution weights of shape (f_out, f_in/groups, a, b)."""
+    """Bias-free convolution weights of shape (f_out, f_in/groups, a, b).
+
+    Two groupings exist: `groups=1`, a classical convolution, and
+    `groups=f_out` with weights (f_out, 1, a, b), a depthwise convolution
+    that filters each channel on its own.
+    """
 
     weights: Value
     groups: int = 1
@@ -142,13 +147,8 @@ class ConvKernel:
         w = self.weights.data
         if w.ndim != 4:
             raise ConfigurationError(f"kernel must be rank 4, got shape {w.shape}")
-        f_out, _, a, b = w.shape
-        if self.groups < 1:
-            raise ConfigurationError(f"groups must be >= 1, got {self.groups}")
-        if f_out % self.groups != 0:
-            raise ConfigurationError(
-                f"groups={self.groups} does not divide f_out={f_out}"
-            )
+        _conv_kernels(w, self.groups)
+        a, b = w.shape[2:]
         if a % 2 == 0 or b % 2 == 0:
             raise ConfigurationError(
                 f"kernel size {a}x{b} is even; same-padding is undefined"
@@ -208,9 +208,9 @@ def _kernel_matrix(w: Array) -> Array:
 
 
 def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | None,
-                           want_cols: bool = False):
-    """groups=1 convolution, stride 1; optionally returns the patch matrix
-    so a taped backward can skip regathering it."""
+                           keep: bool) -> tuple[Array, Array | None]:
+    """groups=1 convolution, stride 1; with `keep` also returns the patch
+    matrix so a taped backward can skip regathering it."""
     n, c, h, width = x.shape
     f_out, _, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
@@ -219,12 +219,11 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
     if a == 1 and b == 1 and padding == 0:
         # pointwise: a plain channel-mixing matmul
         out = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (f_out,N,H,W)
-        out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
-        return (out, None) if want_cols else out
+        return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), None
     cols = _gather_cols(_pad_nhwc(x, padding), a, b)
     out2d = cols @ _kernel_matrix(w)
     out = np.ascontiguousarray(out2d.reshape(n, ho, wo, f_out).transpose(0, 3, 1, 2))
-    return (out, cols) if want_cols else out
+    return out, (cols if keep else None)
 
 
 def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
@@ -251,7 +250,8 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     return np.ascontiguousarray(core.transpose(0, 3, 1, 2)), np.ascontiguousarray(grad_w)
 
 
-def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None) -> Array:
+def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None,
+                              keep: bool) -> tuple[Array, None]:
     n, c, h, width = x.shape
     _, _, a, b = w.shape
     xp = _pad_hw(x, padding)
@@ -262,10 +262,11 @@ def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally 
     for i in range(a):
         for j in range(b):
             out += w[:, 0, i, j].reshape(1, c, 1, 1) * xp[:, :, i : i + ho, j : j + wo]
-    return out
+    return out, None
 
 
-def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int) -> tuple[Array, Array]:
+def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
+                               _saved: None = None) -> tuple[Array, Array]:
     n, c, h, width = x.shape
     _, _, a, b = w.shape
     ho, wo = g.shape[2], g.shape[3]
@@ -282,60 +283,43 @@ def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int) -> tu
     return np.ascontiguousarray(grad_xp), grad_w
 
 
-def _is_depthwise(w: Array, groups: int) -> bool:
-    return groups > 1 and w.shape[0] == groups and w.shape[1] == 1
+def _conv_kernels(w: Array, groups: int):
+    """The (forward, backward) kernel pair for weights `w` in `groups` groups:
+    an im2col GEMM for groups=1, shifted windows for depthwise."""
+    if groups == 1:
+        return _conv2d_forward_single, _conv2d_backward_single
+    if groups == w.shape[0] and w.shape[1] == 1:
+        return _conv2d_forward_depthwise, _conv2d_backward_depthwise
+    raise ConfigurationError(
+        f"groups must be 1 or, for depthwise weights (f_out, 1, a, b), "
+        f"f_out={w.shape[0]}; got groups={groups} for weights {w.shape}"
+    )
 
 
 def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0,
                tally: MacTally | None = None) -> Array:
-    """Non-taped grouped convolution, stride 1, zero padding."""
-    if groups == 1:
-        return _conv2d_forward_single(x, w, padding, tally)
-    if _is_depthwise(w, groups):
-        return _conv2d_forward_depthwise(x, w, padding, tally)
-    c_g = x.shape[1] // groups
-    f_g = w.shape[0] // groups
-    parts = [
-        _conv2d_forward_single(
-            x[:, g * c_g : (g + 1) * c_g], w[g * f_g : (g + 1) * f_g], padding, tally
-        )
-        for g in range(groups)
-    ]
-    return np.concatenate(parts, axis=1)
+    """Non-taped convolution, stride 1, zero padding."""
+    forward, _ = _conv_kernels(w, groups)
+    return forward(x, w, padding, tally, False)[0]
 
 
 def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
                     padding: int = 0) -> tuple[Array, Array]:
     """Gradients of conv2d_raw w.r.t. its input and weights."""
+    _, backward = _conv_kernels(w, groups)
     expected = (x.shape[0], w.shape[0], x.shape[2] + 2 * padding - w.shape[2] + 1,
                 x.shape[3] + 2 * padding - w.shape[3] + 1)
     if grad_out.shape != expected:
         raise ConfigurationError(
             f"grad_out shape {grad_out.shape} does not match forward output {expected}"
         )
-    if groups == 1:
-        return _conv2d_backward_single(grad_out, x, w, padding)
-    if _is_depthwise(w, groups):
-        return _conv2d_backward_depthwise(grad_out, x, w, padding)
-    c_g = x.shape[1] // groups
-    f_g = w.shape[0] // groups
-    grad_x = np.empty_like(x)
-    grad_w = np.empty_like(w)
-    for g in range(groups):
-        gx, gw = _conv2d_backward_single(
-            grad_out[:, g * f_g : (g + 1) * f_g],
-            x[:, g * c_g : (g + 1) * c_g],
-            w[g * f_g : (g + 1) * f_g],
-            padding,
-        )
-        grad_x[:, g * c_g : (g + 1) * c_g] = gx
-        grad_w[g * f_g : (g + 1) * f_g] = gw
-    return grad_x, grad_w
+    return backward(grad_out, x, w, padding, None)
 
 
 def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
            tape: Tape | None = None, tally: MacTally | None = None) -> Value:
-    """Stride-1 grouped convolution; `padding=None` means same-padding."""
+    """Stride-1 classical or depthwise convolution; `padding=None` means
+    same-padding."""
     check_tensor4(x.data)
     a, b = kernel.kernel_hw
     if padding is None:
@@ -345,35 +329,21 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
     c = x.data.shape[1]
     if c != kernel.f_in:
         raise ConfigurationError(
-            f"input has {c} channels but kernel expects {kernel.f_in} "
-            f"({kernel.groups} groups of {kernel.f_in // kernel.groups})"
+            f"input has {c} channels but kernel expects {kernel.f_in}"
         )
-    if c % kernel.groups != 0:
-        raise ConfigurationError(f"groups={kernel.groups} does not divide channels={c}")
     if x.data.shape[2] + 2 * padding < a or x.data.shape[3] + 2 * padding < b:
         raise ConfigurationError(
             f"spatial size {x.data.shape[2:]} too small for kernel {a}x{b} "
             f"with padding {padding}"
         )
     x_data, w = x.data, kernel.weights
-    groups = kernel.groups
-    if tape is not None and groups == 1:
-        out_data, cols = _conv2d_forward_single(x_data, w.data, padding, tally,
-                                                want_cols=True)
-        out = Value(out_data)
-
-        def backward_cached(g: Array) -> None:
-            gx, gw = _conv2d_backward_single(g, x_data, w.data, padding, cols)
-            _accumulate(x, gx, owned=True)
-            _accumulate(w, gw, owned=True)
-
-        tape.record(out, backward_cached)
-        return out
-    out = Value(conv2d_raw(x_data, w.data, groups, padding, tally))
+    forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
+    out_data, saved = forward(x_data, w.data, padding, tally, tape is not None)
+    out = Value(out_data)
     if tape is not None:
 
         def backward(g: Array) -> None:
-            gx, gw = conv2d_backward(g, x_data, w.data, groups, padding)
+            gx, gw = backward_kernel(g, x_data, w.data, padding, saved)
             _accumulate(x, gx, owned=True)
             _accumulate(w, gw, owned=True)
 
@@ -385,7 +355,7 @@ def grouped_conv(x: Value, depthwise: ConvKernel, pointwise: ConvKernel, *,
                  tape: Tape | None = None, tally: MacTally | None = None) -> Value:
     """Depthwise axb convolution followed by a pointwise 1x1 channel mix."""
     c = x.data.shape[1]
-    if depthwise.groups != c or depthwise.f_out != c or depthwise.f_in != c:
+    if depthwise.groups != c or depthwise.f_out != c:
         raise ConfigurationError(
             f"depthwise kernel must have groups == channels == {c}, "
             f"got groups={depthwise.groups}, f_out={depthwise.f_out}"
@@ -615,43 +585,46 @@ def reshape(x: Value, shape: tuple[int, ...], *, tape: Tape | None = None) -> Va
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic used by the recursions
+# The recursion's shortcut sum
 # ---------------------------------------------------------------------------
 
 
-def add(x: Value, y: Value, *, tape: Tape | None = None) -> Value:
-    if x.data.shape != y.data.shape:
-        raise ConfigurationError(f"add shape mismatch: {x.data.shape} vs {y.data.shape}")
-    out = Value(x.data + y.data)
-    if tape is not None:
-
-        def backward(g: Array) -> None:
-            _accumulate(x, g)
-            _accumulate(y, g)
-
-        tape.record(out, backward)
-    return out
-
-
-def add_scaled(base: Value, x: Value, coeffs: Value, index: tuple[int, int], *,
+def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
                tape: Tape | None = None) -> Value:
-    """base + coeffs[index] * x, with gradient routed into the coefficient."""
-    if base.data.shape != x.data.shape:
+    """base + sum_i coeffs[t, i] * lags[i], as one op with one backward.
+
+    `coeffs` is either a trained Value, whose row t receives the gradient
+    <g, lags[i]> for each lag used, or a fixed array that receives none.
+    The terms are summed as (lags[0]*coeffs[t,0] + base) + lags[1]*coeffs[t,1]
+    + ..., in lag order.
+    """
+    trained = isinstance(coeffs, Value)
+    table = coeffs.data if trained else coeffs
+    if not 1 <= len(lags) <= table.shape[1]:
         raise ConfigurationError(
-            f"add_scaled shape mismatch: {base.data.shape} vs {x.data.shape}"
+            f"add_scaled takes 1 to {table.shape[1]} lags, got {len(lags)}"
         )
-    scale = coeffs.data[index]
-    out_data = x.data * scale
+    for lag in lags:
+        if lag.data.shape != base.data.shape:
+            raise ConfigurationError(
+                f"add_scaled shape mismatch: {base.data.shape} vs {lag.data.shape}"
+            )
+    scales = table[t, : len(lags)].copy()
+    out_data = lags[0].data * scales[0]
     out_data += base.data
+    for lag, scale in zip(lags[1:], scales[1:]):
+        out_data += lag.data * scale
     out = Value(out_data)
     if tape is not None:
 
         def backward(g: Array) -> None:
             _accumulate(base, g)
-            _accumulate(x, scale * g, owned=True)
-            if coeffs.grad is None:
+            if trained and coeffs.grad is None:
                 coeffs.grad = np.zeros_like(coeffs.data)
-            coeffs.grad[index] += np.vdot(g, x.data)
+            for i, (lag, scale) in enumerate(zip(lags, scales)):
+                _accumulate(lag, scale * g, owned=True)
+                if trained:
+                    coeffs.grad[t, i] += np.vdot(g, lag.data)
 
         tape.record(out, backward)
     return out

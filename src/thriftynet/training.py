@@ -19,6 +19,7 @@ reproduces the uninterrupted one exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -259,9 +260,21 @@ _OPT_HEADER = struct.Struct("<IddI")  # next_epoch, lambda, best_acc, n_velociti
 
 
 def _atomic_write(path: Path, blob: bytes) -> None:
+    """Replace `path` with `blob` so that a crash leaves the old or the new file.
+
+    The temp file is synced before the rename and the directory after it.
+    """
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(blob)
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_train_checkpoint(model: ThriftyNet, opt: SGD, next_epoch: int, lam: float,

@@ -1,11 +1,15 @@
 """Forward-pass contracts: shapes, recursion equivalence, init, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from thriftynet.errors import CheckpointError, ConfigurationError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.model import (
+    _HEADER,
+    CHECKPOINT_MAGIC,
     ForwardRecord,
     ThriftyConfig,
     ThriftyNet,
@@ -14,9 +18,12 @@ from thriftynet.model import (
     mean_activations,
     save_model,
     serialize_model,
+    _model_tensors,
+    _tensor_shapes,
 )
 from thriftynet.planner import make_schedule, param_count
 from thriftynet.tensor import Tape, batchnorm, channel_pad, softmax_cross_entropy, Value
+from thriftynet.training import TrainConfig, train
 
 
 def small_config(**overrides) -> ThriftyConfig:
@@ -189,6 +196,39 @@ class TestResidualForward:
         assert max_rel_error(model.alpha.grad, numeric) < 1e-5
 
 
+def model_values(model):
+    """Every Value reachable from the model's attributes."""
+    found = []
+
+    def visit(obj):
+        if isinstance(obj, Value):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif hasattr(obj, "__dict__"):
+            for item in vars(obj).values():
+                visit(item)
+
+    visit(model)
+    return found
+
+
+class TestPlainRecursion:
+    def test_train_step_grads_only_trainables(self, tiny_pair):
+        train_ds, test_ds = tiny_pair
+        config = small_config(history=0, num_classes=10)
+        model = ThriftyNet(config, seed=31)
+        train(model, train_ds, test_ds,
+              TrainConfig(epochs=1, lr_drops=(), batch_size=8, steps_per_epoch=1,
+                          augment=False))
+        assert model.alpha is None
+        trainable = {id(v) for _, v in model.trainables()}
+        graded = [v for v in model_values(model) if v.grad is not None]
+        assert graded and all(id(v) in trainable for v in graded)
+        assert all(v.grad is not None for _, v in model.trainables())
+
+
 class TestInitialization:
     def test_same_seed_bit_identical(self):
         config = small_config(history=3)
@@ -290,6 +330,13 @@ class TestCheckpoints:
             np.testing.assert_array_equal(a, b)
         assert serialize_model(loaded) == serialize_model(model)
 
+    @pytest.mark.parametrize("history", [0, 2])
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_header_predicts_tensor_shapes(self, conv_mode, history):
+        config = small_config(history=history, conv_mode=conv_mode)
+        model = ThriftyNet(config, seed=26)
+        assert _tensor_shapes(config) == [t.shape for t in _model_tensors(model)]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTMAGIC" + bytes(64))
@@ -317,3 +364,17 @@ class TestCheckpoints:
         blob = serialize_model(ThriftyNet(config, seed=30))
         _, consumed = deserialize_model(blob + b"tail")
         assert consumed == len(blob)
+
+    def test_short_blob_with_huge_header_fails_without_allocating(self):
+        # a 41-byte file whose header claims f=3000: the weights alone would
+        # take hundreds of MB, so the size check must come before the model
+        blob = _HEADER.pack(CHECKPOINT_MAGIC, 4, 0, 0, 0, 3000, 3, 3, 1, 0, 10, 3) + bytes([1])
+        assert len(blob) == 41
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                deserialize_model(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

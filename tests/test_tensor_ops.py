@@ -11,7 +11,6 @@ from thriftynet.tensor import (
     ConvKernel,
     Tape,
     Value,
-    add,
     add_scaled,
     batchnorm,
     channel_pad,
@@ -59,7 +58,7 @@ class TestConv2d:
         ref = naive_conv2d(x, w, groups=1, padding=1)
         assert max_rel_error(out, ref) < 1e-6
 
-    @pytest.mark.parametrize("groups,channels,f_out", [(2, 4, 6), (3, 6, 3), (4, 4, 4)])
+    @pytest.mark.parametrize("groups,channels,f_out", [(4, 4, 4)])
     def test_matches_naive_reference_grouped(self, groups, channels, f_out):
         rng = np.random.default_rng(groups)
         x = rng.standard_normal((2, channels, 5, 5))
@@ -68,19 +67,15 @@ class TestConv2d:
         ref = naive_conv2d(x, w, groups=groups, padding=1)
         assert max_rel_error(out, ref) < 1e-6
 
-    def test_groups_equal_independent_convs(self):
-        rng = np.random.default_rng(5)
-        g, c, f_out = 3, 9, 6
-        x = rng.standard_normal((2, c, 6, 6))
-        w = rng.standard_normal((f_out, c // g, 3, 3))
-        full = conv2d_raw(x, w, groups=g, padding=1)
-        c_g, f_g = c // g, f_out // g
-        parts = [
-            conv2d_raw(x[:, i * c_g : (i + 1) * c_g], w[i * f_g : (i + 1) * f_g],
-                       groups=1, padding=1)
-            for i in range(g)
-        ]
-        assert max_rel_error(full, np.concatenate(parts, axis=1)) < 1e-6
+    def test_only_classical_and_depthwise_groupings(self):
+        w = np.zeros((6, 2, 3, 3))
+        with pytest.raises(ConfigurationError):
+            kernel(w, groups=2)
+        with pytest.raises(ConfigurationError):
+            conv2d_raw(np.zeros((1, 4, 5, 5)), w, groups=2, padding=1)
+        with pytest.raises(ConfigurationError):
+            kernel(np.zeros((6, 1, 3, 3)), groups=3)  # one channel per group, f_out != groups
+        assert kernel(np.zeros((6, 1, 3, 3)), groups=6).f_in == 6
 
     def test_linearity_in_input_and_weights(self):
         rng = np.random.default_rng(6)
@@ -450,28 +445,61 @@ class TestSoftmaxCrossEntropy:
 
 class TestArithmeticOps:
     def test_add_backward_fans_out(self):
-        x = Value(np.ones((1, 2, 2, 2)))
-        y = Value(np.ones((1, 2, 2, 2)))
+        # unit coefficients: every input receives the output gradient as is
+        base = Value(np.ones((1, 2, 2, 2)))
+        lags = [Value(np.full((1, 2, 2, 2), float(i))) for i in range(3)]
+        coeffs = Value(np.ones((2, 4)))
         tape = Tape()
-        out = add(x, y, tape=tape)
+        out = add_scaled(base, lags, coeffs, 1, tape=tape)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 4.0))
         seed = np.random.default_rng(23).standard_normal(out.data.shape)
         tape.backward(out, seed)
-        np.testing.assert_array_equal(x.grad, seed)
-        np.testing.assert_array_equal(y.grad, seed)
+        for v in (base, *lags):
+            np.testing.assert_array_equal(v.grad, seed)
+        expected = np.zeros((2, 4))
+        expected[1, :3] = [(seed * lag.data).sum() for lag in lags]
+        np.testing.assert_allclose(coeffs.grad, expected)
 
     def test_add_scaled_routes_coefficient_gradient(self):
         rng = np.random.default_rng(24)
         base = Value(rng.standard_normal((2, 3, 4, 4)))
-        x = Value(rng.standard_normal((2, 3, 4, 4)))
-        coeffs = Value(rng.standard_normal((3, 2)))
+        lags = [Value(rng.standard_normal((2, 3, 4, 4))) for _ in range(2)]
+        coeffs = Value(rng.standard_normal((3, 4)))
         tape = Tape()
-        out = add_scaled(base, x, coeffs, (1, 0), tape=tape)
-        np.testing.assert_allclose(out.data, base.data + coeffs.data[1, 0] * x.data)
+        out = add_scaled(base, lags, coeffs, 1, tape=tape)
+        c = coeffs.data
+        np.testing.assert_allclose(
+            out.data, base.data + c[1, 0] * lags[0].data + c[1, 1] * lags[1].data)
         seed = rng.standard_normal(out.data.shape)
         tape.backward(out, seed)
-        np.testing.assert_allclose(coeffs.grad[1, 0], (seed * x.data).sum())
-        assert coeffs.grad[0, 0] == 0.0
-        np.testing.assert_allclose(x.grad, coeffs.data[1, 0] * seed)
+        np.testing.assert_array_equal(base.grad, seed)
+        for i, lag in enumerate(lags):
+            np.testing.assert_allclose(lag.grad, c[1, i] * seed)
+            np.testing.assert_allclose(coeffs.grad[1, i], (seed * lag.data).sum())
+        untouched = np.ones((3, 4), dtype=bool)
+        untouched[1, :2] = False
+        assert (coeffs.grad[untouched] == 0.0).all()
+
+    def test_add_scaled_fixed_coefficients_take_no_gradient(self):
+        base = Value(np.ones((1, 1, 2, 2)))
+        lag = Value(np.full((1, 1, 2, 2), 2.0))
+        fixed = np.full((1, 1), 3.0)
+        tape = Tape()
+        out = add_scaled(base, [lag], fixed, 0, tape=tape)
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 7.0))
+        tape.backward(out, np.ones_like(out.data))
+        np.testing.assert_array_equal(lag.grad, np.full((1, 1, 2, 2), 3.0))
+        np.testing.assert_array_equal(fixed, np.full((1, 1), 3.0))
+
+    def test_add_scaled_rejects_bad_lags(self):
+        base = Value(np.ones((1, 1, 2, 2)))
+        coeffs = Value(np.ones((2, 2)))
+        with pytest.raises(ConfigurationError):
+            add_scaled(base, [], coeffs, 0)
+        with pytest.raises(ConfigurationError):
+            add_scaled(base, [base, base, base], coeffs, 0)  # more lags than columns
+        with pytest.raises(ConfigurationError):
+            add_scaled(base, [Value(np.ones((1, 1, 3, 3)))], coeffs, 0)
 
 
 class TestTape:
@@ -491,12 +519,15 @@ class TestTape:
             tape.backward(out, np.ones((1, 1, 3, 3)))
 
     def test_shared_value_accumulates_both_paths(self):
-        # y = x + x  =>  dy/dx = 2 through two consumers of the same Value
+        # y = x + 2x + 3x  =>  dy/dx = 6 through three uses of the same Value
         x = Value(np.full((1, 1, 2, 2), 3.0))
+        coeffs = Value(np.array([[2.0, 3.0]]))
         tape = Tape()
-        out = add(x, x, tape=tape)
+        out = add_scaled(x, [x, x], coeffs, 0, tape=tape)
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 18.0))
         tape.backward(out, np.ones_like(out.data))
-        np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 2.0))
+        np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 6.0))
+        np.testing.assert_array_equal(coeffs.grad, [[12.0, 12.0]])
 
     def test_unused_branches_contribute_nothing(self):
         x = Value(np.ones((1, 2, 4, 4)))
@@ -527,6 +558,7 @@ def test_every_primitive_gradient_sweep(seed):
     snapshot = (state.running_mean.copy(), state.running_var.copy())
     fc_w = Value(0.5 * rng.standard_normal((4, 3)))
     fc_b = Value(0.2 * rng.standard_normal(3))
+    coeffs = Value(rng.uniform(-1.0, 1.0, (2, 3)))
     labels = rng.integers(0, 3, size=2)
 
     def composite(analytic=True):
@@ -536,7 +568,7 @@ def test_every_primitive_gradient_sweep(seed):
         h2 = conv2d(h1, ConvKernel(dw, groups=4), tape=tape)
         h3 = tanh_act(h2, tape=tape)
         h4 = batchnorm(h3, state, "train", tape=tape)
-        h5 = add(h4, h1, tape=tape)
+        h5 = add_scaled(h4, [h1, h3], coeffs, 1, tape=tape)
         h6 = maxpool2x2(h5, tape=tape)
         h7 = global_max_pool(h6, tape=tape)
         flat = reshape(h7, (2, 4), tape=tape)
@@ -545,13 +577,13 @@ def test_every_primitive_gradient_sweep(seed):
         state.running_mean[...], state.running_var[...] = snapshot
         if not analytic:
             return loss
-        for v in (x, w, dw, state.gamma, state.beta, fc_w, fc_b):
+        for v in (x, w, dw, state.gamma, state.beta, coeffs, fc_w, fc_b):
             v.grad = None
         tape.backward(logits, grad)
         return None
 
     composite()
-    for target in (w, dw, state.gamma, state.beta, fc_w, fc_b):
+    for target in (w, dw, state.gamma, state.beta, coeffs, fc_w, fc_b):
         analytic = target.grad
         numeric = finite_difference(build_loss_scalar(composite), target)
         assert max_rel_error(analytic, numeric) < 1e-5

@@ -1,5 +1,8 @@
 """Optimizer semantics, schedules, the shortcut regularizer, resume."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from thriftynet.training import (
     load_train_checkpoint,
     lr_at,
     train,
+    _atomic_write,
 )
 
 
@@ -293,6 +297,24 @@ class TestResume:
         opt = SGD(other.trainables())
         with pytest.raises(CheckpointError):
             load_train_checkpoint(tmp_path / "last.ckpt", other, opt)
+
+    def test_atomic_write_syncs_file_before_rename_then_directory(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "last.ckpt"
+        synced = []  # (inode, is a directory, target present yet)
+        real_fsync = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_ino, stat.S_ISDIR(st.st_mode), path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        _atomic_write(path, b"payload")
+        assert path.read_bytes() == b"payload"
+        assert not (tmp_path / "last.ckpt.tmp").exists()
+        assert synced == [(path.stat().st_ino, False, False),
+                          (tmp_path.stat().st_ino, True, True)]
 
 
 class TestAblation:
