@@ -128,45 +128,51 @@ class ThriftyNet:
 
     def __init__(self, config: ThriftyConfig, seed: int = 0, dtype=np.float32,
                  alpha_init: str = "identity"):
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        f = config.filters
+        dtype = np.dtype(dtype)
+        f, t, k = config.filters, config.iterations, config.num_classes
         a, b = config.kernel
         rng = np.random.default_rng(seed)
         # Draw order is part of the checkpoint/replay contract: conv weights,
         # FC weights, then alpha, so that the alpha_init choice never shifts
         # the stream behind the shared weights.
         if config.conv_mode == "classical":
-            w = _glorot_uniform(rng, (f, f, a, b), f * a * b, f * a * b, self.dtype)
-            self.conv = ConvKernel(Value(w), groups=1)
-            self.depthwise = None
-            self.pointwise = None
+            conv = [_glorot_uniform(rng, (f, f, a, b), f * a * b, f * a * b, dtype)]
         else:
-            dw = _glorot_uniform(rng, (f, 1, a, b), a * b, a * b, self.dtype)
-            pw = _glorot_uniform(rng, (f, f, 1, 1), f, f, self.dtype)
-            self.conv = None
-            self.depthwise = ConvKernel(Value(dw), groups=f)
-            self.pointwise = ConvKernel(Value(pw), groups=1)
-        self.bn = [BatchNormState.create(f, self.dtype) for _ in range(config.iterations)]
-        self.fc_w = Value(
-            _glorot_uniform(rng, (f, config.num_classes), f, config.num_classes, self.dtype)
-        )
-        self.fc_b = Value(np.zeros(config.num_classes, dtype=self.dtype))
+            conv = [_glorot_uniform(rng, (f, 1, a, b), a * b, a * b, dtype),
+                    _glorot_uniform(rng, (f, f, 1, 1), f, f, dtype)]
+        fc_w = _glorot_uniform(rng, (f, k), f, k, dtype)
+        alpha = []
         if config.residual:
             if alpha_init == "identity":
-                alpha = np.zeros((config.iterations, config.history + 1), dtype=self.dtype)
-                alpha[:, 0] = 1.0
+                alpha = [np.zeros((t, config.history + 1), dtype=dtype)]
+                alpha[0][:, 0] = 1.0
             elif alpha_init == "uniform":
-                alpha = rng.uniform(
-                    0.0, 1.0, size=(config.iterations, config.history + 1)
-                ).astype(self.dtype)
+                alpha = [rng.uniform(0.0, 1.0, size=(t, config.history + 1)).astype(dtype)]
             else:
                 raise ConfigurationError(
                     f"alpha_init must be 'identity' or 'uniform', got {alpha_init!r}"
                 )
-            self.alpha: Value | None = Value(alpha)
+        # per iteration: gamma, beta, running_mean, running_var
+        bn = [np.full(f, v, dtype=dtype) for _ in range(t) for v in (1, 0, 0, 1)]
+        self._assemble(config, dtype, [*conv, *bn, *alpha, fc_w, np.zeros(k, dtype=dtype)])
+
+    def _assemble(self, config: ThriftyConfig, dtype: np.dtype,
+                  tensors: list[np.ndarray]) -> None:
+        """Adopt `tensors`, in checkpoint file order, as the parameters and BN
+        state; the checkpoint reader builds its model through this alone."""
+        self.config, self.dtype = config, dtype
+        take = iter(tensors).__next__
+        if config.conv_mode == "classical":
+            self.conv = ConvKernel(Value(take()), groups=1)
+            self.depthwise = self.pointwise = None
         else:
-            self.alpha = None
+            self.conv = None
+            self.depthwise = ConvKernel(Value(take()), groups=config.filters)
+            self.pointwise = ConvKernel(Value(take()), groups=1)
+        self.bn = [BatchNormState(Value(take()), Value(take()), take(), take())
+                   for _ in range(config.iterations)]
+        self.alpha: Value | None = Value(take()) if config.residual else None
+        self.fc_w, self.fc_b = Value(take()), Value(take())
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -360,20 +366,24 @@ class _Reader:
         self.blob = blob
         self.offset = offset
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Consume n bytes; returns where they start."""
         if self.offset + n > len(self.blob):
             raise CheckpointError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.offset}, "
                 f"file has {len(self.blob)}"
             )
-        chunk = self.blob[self.offset : self.offset + n]
         self.offset += n
-        return chunk
+        return self.offset - n
+
+    def take(self, n: int) -> bytes:
+        return self.blob[self._advance(n) : self.offset]
 
     def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # read in place, then one copy: no intermediate bytes slice
+        count = math.prod(shape)
+        start = self._advance(count * dtype.itemsize)
+        return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
 
 
 def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
@@ -410,9 +420,8 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
             f"checkpoint truncated: header promises {need} bytes of tensors, "
             f"file has {len(blob) - reader.offset} after the header"
         )
-    model = ThriftyNet(config, seed=0, dtype=dtype)
-    for tensor in _model_tensors(model):
-        tensor[...] = reader.array(tensor.shape, dtype)
+    model = ThriftyNet.__new__(ThriftyNet)
+    model._assemble(config, dtype, [reader.array(shape, dtype) for shape in shapes])
     return model, reader.offset
 
 

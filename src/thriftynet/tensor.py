@@ -181,24 +181,28 @@ def _pad_hw(x: Array, padding: int) -> Array:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _pad_nhwc(x: Array, padding: int) -> Array:
-    """(N,C,H,W) -> zero-padded (N,Hp,Wp,C); channels-last keeps the patch
-    gather below running over long contiguous runs."""
+def _pad_nhwc(x: Array, ph: int, pw: int) -> Array:
+    """(N,C,H,W) -> channels-last (N,H+2ph,W+2pw,C), zero-padded by ph rows
+    and pw columns on each side, or cropped by -ph / -pw where negative.
+    Channels-last makes each kernel row of a patch one contiguous run of b*C
+    values for the gather below."""
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    x = x[:, :, ch : x.shape[2] - ch, cw : x.shape[3] - cw]
+    ph, pw = max(ph, 0), max(pw, 0)
     n, c, h, w = x.shape
-    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-    out[:, padding : padding + h, padding : padding + w, :] = x.transpose(0, 2, 3, 1)
+    out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    out[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
     return out
 
 
 def _gather_cols(xpt: Array, a: int, b: int) -> Array:
-    """(N,Hp,Wp,C) -> (N*Ho*Wo, a*b*C) patch matrix for one fat GEMM."""
+    """(N,Hp,Wp,C) -> (N*Ho*Wo, a*b*C) patch matrix for one fat GEMM, in K
+    order (i, j, c).  One copy of a window view: every (n, ho, wo, i) step
+    moves a contiguous run of b*C values."""
     n, hp, wp, c = xpt.shape
-    ho, wo = hp - a + 1, wp - b + 1
-    cols = np.empty((n, ho, wo, a, b, c), dtype=xpt.dtype)
-    for i in range(a):
-        for j in range(b):
-            cols[:, :, :, i, j, :] = xpt[:, i : i + ho, j : j + wo, :]
-    return cols.reshape(n * ho * wo, a * b * c)
+    windows = np.lib.stride_tricks.sliding_window_view(xpt, (a, b), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(n * (hp - a + 1) * (wp - b + 1), a * b * c)
 
 
 def _kernel_matrix(w: Array) -> Array:
@@ -220,7 +224,7 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
         # pointwise: a plain channel-mixing matmul
         out = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (f_out,N,H,W)
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), None
-    cols = _gather_cols(_pad_nhwc(x, padding), a, b)
+    cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
     out2d = cols @ _kernel_matrix(w)
     out = np.ascontiguousarray(out2d.reshape(n, ho, wo, f_out).transpose(0, 3, 1, 2))
     return out, (cols if keep else None)
@@ -228,6 +232,10 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
 
 def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
                             cols: Array | None = None) -> tuple[Array, Array]:
+    """grad_w = cols.T @ g.  grad_x is the full correlation of g with the
+    flipped kernel, its in/out axes swapped: g is padded by a-1-p rows and
+    b-1-p columns (cropped instead where padding > a-1 or > b-1), then goes
+    through the forward's gather and one GEMM."""
     n, c, h, width = x.shape
     f_out, _, a, b = w.shape
     ho, wo = g.shape[2], g.shape[3]
@@ -237,17 +245,13 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
         grad_x = np.tensordot(g, wmat, axes=([1], [0])).transpose(0, 3, 1, 2)
         return np.ascontiguousarray(grad_x), grad_w
     if cols is None:
-        cols = _gather_cols(_pad_nhwc(x, padding), a, b)
+        cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
     g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f_out)
     grad_w = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
-    grad_cols = (g2d @ _kernel_matrix(w).T).reshape(n, ho, wo, a, b, c)
-    hp, wp = h + 2 * padding, width + 2 * padding
-    grad_xpt = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    for i in range(a):
-        for j in range(b):
-            grad_xpt[:, i : i + ho, j : j + wo, :] += grad_cols[:, :, :, i, j, :]
-    core = grad_xpt[:, padding : padding + h, padding : padding + width, :]
-    return np.ascontiguousarray(core.transpose(0, 3, 1, 2)), np.ascontiguousarray(grad_w)
+    gcols = _gather_cols(_pad_nhwc(g, a - 1 - padding, b - 1 - padding), a, b)
+    grad_x = gcols @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    grad_x = grad_x.reshape(n, h, width, c).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_w)
 
 
 def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None,

@@ -34,6 +34,28 @@ def naive_conv2d(x, w, groups=1, padding=0):
     return out
 
 
+def naive_conv2d_backward(grad_out, x, w, padding=0):
+    """Gradients of the groups=1 naive_conv2d w.r.t. x and w: each output
+    element sends its gradient back along the products that formed it."""
+    n, c, h, width = x.shape
+    f_out, _, a, b = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, width + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + width] = x
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for ni in range(n):
+        for o in range(f_out):
+            for yy in range(grad_out.shape[2]):
+                for xx in range(grad_out.shape[3]):
+                    go = grad_out[ni, o, yy, xx]
+                    for ci in range(c):
+                        for ky in range(a):
+                            for kx in range(b):
+                                grad_w[o, ci, ky, kx] += go * xp[ni, ci, yy + ky, xx + kx]
+                                grad_xp[ni, ci, yy + ky, xx + kx] += go * w[o, ci, ky, kx]
+    return grad_xp[:, :, padding : padding + h, padding : padding + width], grad_w
+
+
 def naive_maxpool2x2(x):
     """2x2 stride-2 max pool on even spatial sizes."""
     n, c, h, w = x.shape

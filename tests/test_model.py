@@ -365,6 +365,20 @@ class TestCheckpoints:
         _, consumed = deserialize_model(blob + b"tail")
         assert consumed == len(blob)
 
+    def test_read_allocates_about_one_payload(self):
+        # the model is built around the tensors read from the blob, with no
+        # random init drawn first only to be overwritten
+        config = small_config(filters=256, iterations=15, schedule=(1,) * 15, history=5)
+        blob = serialize_model(ThriftyNet(config, seed=31))
+        tracemalloc.start()
+        try:
+            model, _ = deserialize_model(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert serialize_model(model) == blob
+        assert peak < 1.5 * len(blob)
+
     def test_short_blob_with_huge_header_fails_without_allocating(self):
         # a 41-byte file whose header claims f=3000: the weights alone would
         # take hundreds of MB, so the size check must come before the model

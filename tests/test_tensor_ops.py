@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from _oracles import naive_batchnorm_train, naive_conv2d, naive_maxpool2x2
+from _oracles import (
+    naive_batchnorm_train,
+    naive_conv2d,
+    naive_conv2d_backward,
+    naive_maxpool2x2,
+)
 from thriftynet.errors import ConfigurationError, DataError, DegenerateBatchError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.tensor import (
@@ -114,6 +119,21 @@ class TestConv2dBackward:
             conv2d_backward(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 5, 5)),
                             np.zeros((1, 1, 3, 3)), padding=0)
 
+    # (a, b, padding): padding > a-1 or > b-1 crops the output gradient
+    # before the flipped-kernel correlation that gives grad_x
+    @pytest.mark.parametrize("a,b,padding", [(3, 3, 0), (3, 3, 1), (3, 3, 3), (1, 1, 1),
+                                             (5, 3, 1), (3, 5, 4)])
+    def test_matches_naive_reference(self, a, b, padding):
+        rng = np.random.default_rng(a * 100 + b * 10 + padding)
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((4, 3, a, b))
+        grad_out = rng.standard_normal(naive_conv2d(x, w, padding=padding).shape)
+        grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=padding)
+        want_x, want_w = naive_conv2d_backward(grad_out, x, w, padding=padding)
+        assert grad_x.shape == x.shape and grad_w.shape == w.shape
+        np.testing.assert_allclose(grad_x, want_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
+
     @pytest.mark.parametrize("groups", [1, 4])
     def test_finite_differences(self, groups):
         rng = np.random.default_rng(42 + groups)
@@ -124,16 +144,17 @@ class TestConv2dBackward:
 
         def run(analytic=True):
             tape = Tape()
-            out = conv2d(Value(x.data), ConvKernel(w, groups=groups), padding=1,
-                         tape=tape)
+            out = conv2d(x, ConvKernel(w, groups=groups), padding=1, tape=tape)
             if not analytic:
                 return (out.data * weights).sum()
-            w.grad = None
+            x.grad = w.grad = None
             tape.backward(out, weights)
-            return w.grad
+            return x.grad, w.grad
 
-        err = max_rel_error(run(), finite_difference(build_loss_scalar(run), w))
-        assert err < 1e-6
+        grad_x, grad_w = run()
+        loss = build_loss_scalar(run)
+        assert max_rel_error(grad_w, finite_difference(loss, w)) < 1e-6
+        assert max_rel_error(grad_x, finite_difference(loss, x)) < 1e-6
 
 
 class TestGroupedConv:
