@@ -209,7 +209,7 @@ RAW_MAGIC = b"RAWT1"
 def save_raw(path, images: np.ndarray, labels: np.ndarray) -> None:
     if images.ndim != 4:
         raise DataError(f"raw container needs rank-4 images, got {images.shape}")
-    if labels.min() < 0 or labels.max() > 255:
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise DataError("raw container stores labels as u8; range exceeded")
     with open(path, "wb") as fh:
         fh.write(RAW_MAGIC)
@@ -234,6 +234,8 @@ def load_raw(path, split: str = "train") -> ImageDataset:
         )
     images = np.frombuffer(blob, dtype="<f4", count=n * c * h * w,
                            offset=header_end).reshape(n, c, h, w).copy()
+    if not np.isfinite(images).all():
+        raise DataError(f"{path} holds non-finite pixel values")
     labels = np.frombuffer(blob, dtype=np.uint8, offset=header_end + payload).astype(np.int64)
     class_count = int(labels.max()) + 1 if n else 1
     return ImageDataset(images, labels, split, class_count)

@@ -9,10 +9,22 @@ gradients into every `Value` that contributed, parameters included.
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
 mutable state they declare (BatchNormState running stats, the Tape).
+
+Heap policy: the recursion applies one convolution T times, so a step asks
+for the same few large shapes over and over.  glibc serves every block above
+its mmap threshold (by default at most 32 MiB) with a fresh mapping and
+unmaps it on free.  At paper scale a 128x64x32x32 float32 activation is
+32 MiB of data (33.5 MB), just above that cap once malloc adds its header,
+and a patch matrix is 302 MB, so each of them would be zero-filled page by
+page again on every use.  Importing this module therefore tells glibc, once,
+to serve blocks up to 2 GiB from its heap and never to trim the heap top, so
+a freed array is reused by the next request of its size.  Where `mallopt` is
+missing or refuses, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +33,26 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DegenerateBatchError
 
 Array = np.ndarray
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks_in_heap() -> None:
+    """Apply the heap policy of the module docstring; a no-op off glibc.
+    (The MALLOC_*_ environment variables would have to be set before the
+    process starts.)"""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_MMAP_THRESHOLD, 2**31 - 1)
+
+
+_keep_freed_blocks_in_heap()
 
 
 class Value:
@@ -211,10 +243,15 @@ def _kernel_matrix(w: Array) -> Array:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(a * b * c, f_out))
 
 
+_UNTAPED_CHUNK = 128  # images per patch matrix when no backward needs it
+
+
 def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | None,
                            keep: bool) -> tuple[Array, Array | None]:
-    """groups=1 convolution, stride 1; with `keep` also returns the patch
-    matrix so a taped backward can skip regathering it."""
+    """groups=1 convolution, stride 1.  With `keep` the whole batch goes
+    through one patch matrix, which is returned so a taped backward can skip
+    regathering it; without, the batch runs in chunks of _UNTAPED_CHUNK
+    images, so a large eval batch never holds its full patch matrix."""
     n, c, h, width = x.shape
     f_out, _, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
@@ -224,10 +261,23 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
         # pointwise: a plain channel-mixing matmul
         out = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (f_out,N,H,W)
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), None
+    wmat = _kernel_matrix(w)
+    out = np.empty((n, f_out, ho, wo), dtype=x.dtype)
+    if keep:
+        return out, _gemm_conv_into(out, x, wmat, padding, a, b)
+    for start in range(0, n, _UNTAPED_CHUNK):
+        _gemm_conv_into(out[start : start + _UNTAPED_CHUNK], x[start : start + _UNTAPED_CHUNK],
+                        wmat, padding, a, b)
+    return out, None
+
+
+def _gemm_conv_into(out: Array, x: Array, wmat: Array, padding: int, a: int, b: int) -> Array:
+    """Convolve x into `out` (N,f_out,Ho,Wo) with one im2col GEMM; returns the
+    patch matrix, which a caller that drops it frees before the next chunk."""
     cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-    out2d = cols @ _kernel_matrix(w)
-    out = np.ascontiguousarray(out2d.reshape(n, ho, wo, f_out).transpose(0, 3, 1, 2))
-    return out, (cols if keep else None)
+    out2d = cols @ wmat
+    out[...] = out2d.reshape(out.shape[0], out.shape[2], out.shape[3], -1).transpose(0, 3, 1, 2)
+    return cols
 
 
 def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,

@@ -29,7 +29,7 @@ import numpy as np
 from .data import ImageDataset, augment_batch, batches
 from .errors import CheckpointError, ConfigurationError, NumericalError
 from .metrics import MetricLog, MetricRow, now, read_metric_log, write_metric_log, write_timing
-from .model import ThriftyNet, deserialize_model, serialize_model
+from .model import ThriftyNet, _Reader, deserialize_model, serialize_model
 from .tensor import Tape, Value, softmax_cross_entropy
 
 
@@ -287,7 +287,12 @@ def save_train_checkpoint(model: ThriftyNet, opt: SGD, next_epoch: int, lam: flo
 
 
 def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float, float]:
-    """Restore parameters, running stats and velocities in place."""
+    """Restore parameters, running stats and velocities in place.
+
+    All or nothing: the whole file, optimizer section included, is read and
+    checked before anything is copied, so a rejected file leaves `model`
+    and `opt` as they were.
+    """
     blob = Path(path).read_bytes()
     restored, offset = deserialize_model(blob)
     if restored.config != model.config:
@@ -295,6 +300,18 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
             f"checkpoint config {restored.config} does not match model "
             f"{model.config}"
         )
+    if blob[offset : offset + len(OPT_MAGIC)] != OPT_MAGIC:
+        raise CheckpointError("checkpoint has no optimizer-state section")
+    reader = _Reader(blob, offset + len(OPT_MAGIC))
+    next_epoch, lam, best_acc, n_vel = _OPT_HEADER.unpack(reader.take(_OPT_HEADER.size))
+    if n_vel != len(opt.velocities):
+        raise CheckpointError(
+            f"checkpoint stores {n_vel} velocities, optimizer has "
+            f"{len(opt.velocities)}"
+        )
+    velocities = [reader.array(vel.shape, restored.dtype) for vel in opt.velocities]
+    if reader.offset != len(blob):
+        raise CheckpointError(f"checkpoint has {len(blob) - reader.offset} trailing bytes")
     for (name, dst), (rname, src) in zip(model.trainables(), restored.trainables()):
         if name != rname:  # pragma: no cover - orders derive from one config
             raise CheckpointError(f"parameter order mismatch: {name} vs {rname}")
@@ -302,26 +319,8 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
     for dst_bn, src_bn in zip(model.bn, restored.bn):
         dst_bn.running_mean[...] = src_bn.running_mean
         dst_bn.running_var[...] = src_bn.running_var
-    if blob[offset : offset + len(OPT_MAGIC)] != OPT_MAGIC:
-        raise CheckpointError("checkpoint has no optimizer-state section")
-    offset += len(OPT_MAGIC)
-    try:
-        next_epoch, lam, best_acc, n_vel = _OPT_HEADER.unpack_from(blob, offset)
-    except struct.error as exc:
-        raise CheckpointError(f"truncated optimizer state: {exc}") from exc
-    offset += _OPT_HEADER.size
-    if n_vel != len(opt.velocities):
-        raise CheckpointError(
-            f"checkpoint stores {n_vel} velocities, optimizer has "
-            f"{len(opt.velocities)}"
-        )
-    for vel in opt.velocities:
-        nbytes = vel.size * model.dtype.itemsize
-        if offset + nbytes > len(blob):
-            raise CheckpointError("truncated velocity tensors")
-        vel[...] = np.frombuffer(blob, dtype=model.dtype, count=vel.size,
-                                 offset=offset).reshape(vel.shape)
-        offset += nbytes
+    for dst, src in zip(opt.velocities, velocities):
+        dst[...] = src
     return next_epoch, lam, best_acc
 
 

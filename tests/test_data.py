@@ -277,3 +277,20 @@ class TestRawContainer:
         path.write_bytes(blob[:-10])
         with pytest.raises(DataError):
             load_raw(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, tmp_path, bad):
+        images = np.zeros((3, 1, 2, 2), dtype=np.float32)
+        images[1, 0, 1, 0] = bad
+        path = tmp_path / "bad.rawt"
+        save_raw(path, images, np.arange(3))
+        with pytest.raises(DataError, match="non-finite"):
+            load_raw(path)
+
+    def test_empty_container_round_trip(self, tmp_path):
+        path = tmp_path / "empty.rawt"
+        save_raw(path, np.zeros((0, 3, 4, 4), dtype=np.float32), np.zeros(0, dtype=np.int64))
+        ds = load_raw(path)
+        assert ds.images.shape == (0, 3, 4, 4)
+        assert ds.labels.shape == (0,)
+        assert len(ds) == 0

@@ -1,5 +1,7 @@
 """Forward oracles and gradient checks for every primitive."""
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from _oracles import (
     naive_conv2d_backward,
     naive_maxpool2x2,
 )
+from thriftynet import tensor
 from thriftynet.errors import ConfigurationError, DataError, DegenerateBatchError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.tensor import (
     BatchNormState,
     ConvKernel,
+    MacTally,
     Tape,
     Value,
     add_scaled,
@@ -103,6 +107,41 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             kernel(np.zeros((1, 1, 2, 2)))
+
+    def test_untaped_chunks_match_per_image_runs(self):
+        # a batch one full chunk plus a 5-image tail: every image lands in its
+        # own slot, and the MACs are counted once for the whole batch
+        n = tensor._UNTAPED_CHUNK + 5
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((n, 2, 4, 4))
+        w = rng.standard_normal((3, 2, 3, 3))
+        tally = MacTally()
+        out = conv2d_raw(x, w, padding=1, tally=tally)
+        per_image = np.concatenate([conv2d_raw(x[i : i + 1], w, padding=1) for i in range(n)])
+        assert out.tobytes() == per_image.tobytes()
+        assert max_rel_error(out, naive_conv2d(x, w, padding=1)) < 1e-10
+        assert tally.total == n * 3 * 4 * 4 * 2 * 3 * 3
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_arrays_come_from_the_heap():
+    # importing thriftynet.tensor raised glibc's mmap threshold, so a 64 MB
+    # array is not a fresh mapping (hblkhd: bytes in mmapped blocks)
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no glibc mallinfo2 here")
+    mallinfo2.argtypes = ()
+    mallinfo2.restype = _MallInfo2
+    before = mallinfo2().hblkhd
+    block = np.ones(64 << 20, dtype=np.uint8)
+    assert mallinfo2().hblkhd == before
+    del block
 
 
 class TestConv2dBackward:

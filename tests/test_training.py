@@ -298,6 +298,27 @@ class TestResume:
         with pytest.raises(CheckpointError):
             load_train_checkpoint(tmp_path / "last.ckpt", other, opt)
 
+    def test_rejected_checkpoint_changes_nothing(self, tiny_pair, tmp_path):
+        train_ds, test_ds = tiny_pair
+        train(ThriftyNet(tiny_model_config(), seed=16), train_ds, test_ds,
+              tiny_train_config(epochs=1), out_dir=tmp_path)
+        blob = (tmp_path / "last.ckpt").read_bytes()
+        model = ThriftyNet(tiny_model_config(), seed=17)
+        opt = SGD(model.trainables())
+        opt.velocities[0][...] = 0.5
+
+        def state():
+            return [a.tobytes() for a in model.state_arrays() + opt.velocities]
+
+        before = state()
+        for name, bad in (("short", blob[:-3]), ("long", blob + b"\0")):
+            (tmp_path / name).write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_train_checkpoint(tmp_path / name, model, opt)
+            assert state() == before
+        load_train_checkpoint(tmp_path / "last.ckpt", model, opt)
+        assert state() != before
+
     def test_atomic_write_syncs_file_before_rename_then_directory(self, tmp_path,
                                                                    monkeypatch):
         path = tmp_path / "last.ckpt"
