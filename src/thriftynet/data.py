@@ -207,15 +207,25 @@ RAW_MAGIC = b"RAWT1"
 
 
 def save_raw(path, images: np.ndarray, labels: np.ndarray) -> None:
+    """Write a RAWT1 container; refuses, before opening `path`, anything
+    load_raw would reject."""
     if images.ndim != 4:
         raise DataError(f"raw container needs rank-4 images, got {images.shape}")
+    labels = np.asarray(labels)
+    if labels.shape != (images.shape[0],):
+        raise DataError(f"raw container needs one label per image: {images.shape[0]} "
+                        f"images, labels of shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise DataError("raw container stores labels as u8; range exceeded")
+    with np.errstate(over="ignore"):  # a pixel past float32's range becomes inf
+        pixels = np.ascontiguousarray(images, dtype="<f4")
+    if not np.isfinite(pixels).all():
+        raise DataError("raw container cannot hold non-finite pixel values")
     with open(path, "wb") as fh:
         fh.write(RAW_MAGIC)
         fh.write(struct.pack("<4I", *images.shape))
-        fh.write(np.ascontiguousarray(images, dtype="<f4").tobytes())
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        fh.write(pixels.tobytes())
+        fh.write(labels.astype(np.uint8).tobytes())
 
 
 def load_raw(path, split: str = "train") -> ImageDataset:

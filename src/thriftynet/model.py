@@ -239,10 +239,14 @@ class ThriftyNet:
                 record: ForwardRecord | None = None) -> Value:
         """Run the recursion; returns the (N, K) class scores as a Value."""
         cfg = self.config
-        cur = channel_pad(Value(self._check_input(x)), cfg.filters, tape=tape)
+        image = Value(self._check_input(x), needs_grad=False)
+        # history[i] = x_{t-i}, newest first; x_0 is the image padded to f channels
+        history: list[Value] = [channel_pad(image, cfg.filters, tape=tape)]
+        # the classical conv reads missing channels as zeros, so at t=0 it
+        # convolves the image's real channels only
+        cur = image if self.conv is not None else history[0]
         # the plain net's lag-0 coefficient is a fixed 1 that is never trained
         alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
-        history: list[Value] = [cur]  # history[i] = x_{t-i}, newest first
         for t in range(cfg.iterations):
             if tally is not None:
                 tally.begin_iteration()
@@ -402,17 +406,20 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
         raise CheckpointError("unknown conv mode or activation code")
     dtype = _DTYPE_CODES[dtype_code]
     schedule = tuple(reader.take(t))
-    config = ThriftyConfig(
-        filters=f,
-        iterations=t,
-        schedule=schedule,
-        history=h,
-        kernel=(a, b),
-        conv_mode=CONV_MODES[mode_code],
-        activation=ACTIVATIONS[act_code],
-        num_classes=num_classes,
-        input_channels=input_channels,
-    )
+    try:
+        config = ThriftyConfig(
+            filters=f,
+            iterations=t,
+            schedule=schedule,
+            history=h,
+            kernel=(a, b),
+            conv_mode=CONV_MODES[mode_code],
+            activation=ACTIVATIONS[act_code],
+            num_classes=num_classes,
+            input_channels=input_channels,
+        )
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint header describes no valid model: {exc}") from exc
     shapes = _tensor_shapes(config)
     need = dtype.itemsize * sum(math.prod(shape) for shape in shapes)
     if len(blob) - reader.offset < need:

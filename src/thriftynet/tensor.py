@@ -56,13 +56,19 @@ _keep_freed_blocks_in_heap()
 
 
 class Value:
-    """An array in the computation together with its accumulated gradient."""
+    """An array in the computation together with its accumulated gradient.
 
-    __slots__ = ("data", "grad")
+    A Value made with `needs_grad=False` is a constant, the model's input
+    image: `channel_pad` and `maxpool2x2` of it record nothing and return a
+    constant, and `conv2d` and `add_scaled` compute no gradient for it.
+    """
 
-    def __init__(self, data: Array):
+    __slots__ = ("data", "grad", "needs_grad")
+
+    def __init__(self, data: Array, needs_grad: bool = True):
         self.data = np.ascontiguousarray(data)
         self.grad: Array | None = None
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,10 +124,13 @@ class Tape:
 
 
 class MacTally:
-    """Counts multiply-accumulate operations actually issued by conv/linear.
+    """Counts the nominal multiply-accumulate operations of conv/linear.
 
-    Only the multiplicative kernels are tallied; pooling, batch norm,
-    activations and shortcut sums are excluded from the accounting.
+    A conv counts f_in/groups * a * b MACs per output, the layer's nominal
+    size, zero input channels included: the first classical conv reads only
+    the image's real channels but is tallied as if it read all f_in.  Only
+    the multiplicative kernels are tallied; pooling, batch norm, activations
+    and shortcut sums are excluded from the accounting.
     """
 
     def __init__(self) -> None:
@@ -248,15 +257,19 @@ _UNTAPED_CHUNK = 128  # images per patch matrix when no backward needs it
 
 def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | None,
                            keep: bool) -> tuple[Array, Array | None]:
-    """groups=1 convolution, stride 1.  With `keep` the whole batch goes
-    through one patch matrix, which is returned so a taped backward can skip
-    regathering it; without, the batch runs in chunks of _UNTAPED_CHUNK
-    images, so a large eval batch never holds its full patch matrix."""
+    """groups=1 convolution, stride 1.  An input with C < f_in channels is
+    read as if zero-padded to f_in: only w[:, :C] multiplies, so the patch
+    matrix is a*b*C wide, but the tally counts the nominal f_in*a*b MACs per
+    output.  With `keep` the whole batch goes through one patch matrix, which
+    is returned so a taped backward can skip regathering it; without, the
+    batch runs in chunks of _UNTAPED_CHUNK images, so a large eval batch
+    never holds its full patch matrix."""
     n, c, h, width = x.shape
-    f_out, _, a, b = w.shape
+    f_out, f_in, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
     if tally is not None:
-        tally.add(n * f_out * ho * wo * c * a * b)
+        tally.add(n * f_out * ho * wo * f_in * a * b)
+    w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
         # pointwise: a plain channel-mixing matmul
         out = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (f_out,N,H,W)
@@ -281,27 +294,35 @@ def _gemm_conv_into(out: Array, x: Array, wmat: Array, padding: int, a: int, b: 
 
 
 def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
-                            cols: Array | None = None) -> tuple[Array, Array]:
-    """grad_w = cols.T @ g.  grad_x is the full correlation of g with the
-    flipped kernel, its in/out axes swapped: g is padded by a-1-p rows and
-    b-1-p columns (cropped instead where padding > a-1 or > b-1), then goes
-    through the forward's gather and one GEMM."""
+                            cols: Array | None = None,
+                            need_x: bool = True) -> tuple[Array | None, Array]:
+    """grad_w = cols.T @ g; for an input with C < f_in channels the weights
+    past channel C get an exactly zero gradient.  grad_x (None unless
+    `need_x`) is the full correlation of g with the flipped kernel, its
+    in/out axes swapped: g is padded by a-1-p rows and b-1-p columns (cropped
+    instead where padding > a-1 or > b-1), then goes through the forward's
+    gather and one GEMM."""
     n, c, h, width = x.shape
     f_out, _, a, b = w.shape
     ho, wo = g.shape[2], g.shape[3]
+    grad_w = np.zeros_like(w)
+    w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
-        wmat = w[:, :, 0, 0]
-        grad_w = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
-        grad_x = np.tensordot(g, wmat, axes=([1], [0])).transpose(0, 3, 1, 2)
+        grad_w[:, :c, 0, 0] = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+        if not need_x:
+            return None, grad_w
+        grad_x = np.tensordot(g, w[:, :, 0, 0], axes=([1], [0])).transpose(0, 3, 1, 2)
         return np.ascontiguousarray(grad_x), grad_w
     if cols is None:
         cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
     g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f_out)
-    grad_w = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
+    grad_w[:, :c] = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
+    if not need_x:
+        return None, grad_w
     gcols = _gather_cols(_pad_nhwc(g, a - 1 - padding, b - 1 - padding), a, b)
     grad_x = gcols @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     grad_x = grad_x.reshape(n, h, width, c).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(grad_x), np.ascontiguousarray(grad_w)
+    return np.ascontiguousarray(grad_x), grad_w
 
 
 def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None,
@@ -320,7 +341,8 @@ def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally 
 
 
 def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
-                               _saved: None = None) -> tuple[Array, Array]:
+                               _saved: None = None,
+                               need_x: bool = True) -> tuple[Array | None, Array]:
     n, c, h, width = x.shape
     _, _, a, b = w.shape
     ho, wo = g.shape[2], g.shape[3]
@@ -331,7 +353,10 @@ def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
         for j in range(b):
             window = xp[:, :, i : i + ho, j : j + wo]
             grad_w[:, 0, i, j] = (g * window).sum(axis=(0, 2, 3))
-            grad_xp[:, :, i : i + ho, j : j + wo] += g * w[:, 0, i, j].reshape(1, c, 1, 1)
+            if need_x:
+                grad_xp[:, :, i : i + ho, j : j + wo] += g * w[:, 0, i, j].reshape(1, c, 1, 1)
+    if not need_x:
+        return None, grad_w
     if padding:
         grad_xp = grad_xp[:, :, padding : padding + h, padding : padding + width]
     return np.ascontiguousarray(grad_xp), grad_w
@@ -352,14 +377,16 @@ def _conv_kernels(w: Array, groups: int):
 
 def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0,
                tally: MacTally | None = None) -> Array:
-    """Non-taped convolution, stride 1, zero padding."""
+    """Non-taped convolution, stride 1, zero padding; with groups=1, x may
+    have fewer channels than w, the missing ones read as zeros."""
     forward, _ = _conv_kernels(w, groups)
     return forward(x, w, padding, tally, False)[0]
 
 
 def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
                     padding: int = 0) -> tuple[Array, Array]:
-    """Gradients of conv2d_raw w.r.t. its input and weights."""
+    """Gradients of conv2d_raw w.r.t. its input and weights (full-size, zero
+    past the channels of a narrow input)."""
     _, backward = _conv_kernels(w, groups)
     expected = (x.shape[0], w.shape[0], x.shape[2] + 2 * padding - w.shape[2] + 1,
                 x.shape[3] + 2 * padding - w.shape[3] + 1)
@@ -373,7 +400,8 @@ def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
 def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
            tape: Tape | None = None, tally: MacTally | None = None) -> Value:
     """Stride-1 classical or depthwise convolution; `padding=None` means
-    same-padding."""
+    same-padding.  A classical conv also takes an input with fewer channels
+    than the kernel's f_in and treats the missing channels as zeros."""
     check_tensor4(x.data)
     a, b = kernel.kernel_hw
     if padding is None:
@@ -381,9 +409,10 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
     if padding < 0:
         raise ConfigurationError(f"padding must be >= 0, got {padding}")
     c = x.data.shape[1]
-    if c != kernel.f_in:
+    if c > kernel.f_in or (c < kernel.f_in and kernel.groups != 1):
         raise ConfigurationError(
-            f"input has {c} channels but kernel expects {kernel.f_in}"
+            f"input has {c} channels but kernel expects "
+            f"{'at most ' if kernel.groups == 1 else ''}{kernel.f_in}"
         )
     if x.data.shape[2] + 2 * padding < a or x.data.shape[3] + 2 * padding < b:
         raise ConfigurationError(
@@ -395,10 +424,12 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
     out_data, saved = forward(x_data, w.data, padding, tally, tape is not None)
     out = Value(out_data)
     if tape is not None:
+        need_x = x.needs_grad
 
         def backward(g: Array) -> None:
-            gx, gw = backward_kernel(g, x_data, w.data, padding, saved)
-            _accumulate(x, gx, owned=True)
+            gx, gw = backward_kernel(g, x_data, w.data, padding, saved, need_x)
+            if need_x:
+                _accumulate(x, gx, owned=True)
             _accumulate(w, gw, owned=True)
 
         tape.record(out, backward)
@@ -483,11 +514,19 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
             raise DegenerateBatchError(
                 "train-mode batchnorm needs more than one value per channel"
             )
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))  # biased (1/m) estimator
+        # one mean pass, not x.mean() plus the one inside x.var(), with the
+        # same operations as x.var(), so the same bits; xhat holds the
+        # deviations until it is normalized in place
+        mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+        xhat = x.data - mean
+        var = np.square(xhat).sum(axis=(0, 2, 3))
+        var /= m  # biased (1/m) estimator
+        mean = mean.reshape(c)
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        out = Value(gview * xhat + bview)
+        xhat *= inv_std.reshape(1, c, 1, 1)
+        out_data = gview * xhat
+        out_data += bview
+        out = Value(out_data)
         rho = state.momentum
         state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
         state.running_var[:] = (1.0 - rho) * state.running_var + rho * var * (m / (m - 1))
@@ -566,8 +605,8 @@ def maxpool2x2(x: Value, *, tape: Tape | None = None) -> Value:
     corners = [xp[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
     out_data = np.maximum(np.maximum(corners[0], corners[1]),
                           np.maximum(corners[2], corners[3]))
-    out = Value(out_data)
-    if tape is not None:
+    out = Value(out_data, needs_grad=x.needs_grad)
+    if tape is not None and x.needs_grad:
 
         def backward(g: Array) -> None:
             gxp = np.empty_like(xp)
@@ -616,8 +655,8 @@ def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> 
         return x
     padded = np.zeros((n, target_channels, h, w), dtype=x.data.dtype)
     padded[:, :c] = x.data
-    out = Value(padded)
-    if tape is not None:
+    out = Value(padded, needs_grad=x.needs_grad)
+    if tape is not None and x.needs_grad:
 
         def backward(g: Array) -> None:
             _accumulate(x, g[:, :c])
@@ -649,6 +688,7 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
 
     `coeffs` is either a trained Value, whose row t receives the gradient
     <g, lags[i]> for each lag used, or a fixed array that receives none.
+    A constant lag gets no gradient, but its coefficient still does.
     The terms are summed as (lags[0]*coeffs[t,0] + base) + lags[1]*coeffs[t,1]
     + ..., in lag order.
     """
@@ -676,7 +716,8 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
             if trained and coeffs.grad is None:
                 coeffs.grad = np.zeros_like(coeffs.data)
             for i, (lag, scale) in enumerate(zip(lags, scales)):
-                _accumulate(lag, scale * g, owned=True)
+                if lag.needs_grad:
+                    _accumulate(lag, scale * g, owned=True)
                 if trained:
                     coeffs.grad[t, i] += np.vdot(g, lag.data)
 

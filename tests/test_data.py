@@ -1,5 +1,7 @@
 """Byte-exact loaders, standardization, augmentation, batching."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from _synth import cifar10_records, synthetic_arrays, write_cifar10_dir
 from thriftynet.data import (
     CIFAR100_RECORD,
     CIFAR10_RECORD,
+    RAW_MAGIC,
     ImageDataset,
     augment_batch,
     batches,
@@ -280,12 +283,30 @@ class TestRawContainer:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixels_rejected(self, tmp_path, bad):
-        images = np.zeros((3, 1, 2, 2), dtype=np.float32)
+        # written by hand: save_raw refuses to write such a file
+        images = np.zeros((3, 1, 2, 2), dtype="<f4")
         images[1, 0, 1, 0] = bad
         path = tmp_path / "bad.rawt"
-        save_raw(path, images, np.arange(3))
+        path.write_bytes(RAW_MAGIC + struct.pack("<4I", *images.shape) + images.tobytes()
+                         + bytes([0, 1, 2]))
         with pytest.raises(DataError, match="non-finite"):
             load_raw(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_save_refuses_non_finite_pixels(self, tmp_path, bad):
+        images = np.zeros((3, 1, 2, 2))
+        images[2, 0, 0, 1] = bad  # 1e39 is past float32's range
+        path = tmp_path / "bad.rawt"
+        with pytest.raises(DataError, match="non-finite"):
+            save_raw(path, images, np.arange(3))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [np.arange(5), np.arange(2), np.zeros((3, 1))])
+    def test_save_refuses_a_label_count_mismatch(self, tmp_path, labels):
+        path = tmp_path / "bad.rawt"
+        with pytest.raises(DataError, match="one label per image"):
+            save_raw(path, np.zeros((3, 1, 2, 2), dtype=np.float32), labels)
+        assert not path.exists()
 
     def test_empty_container_round_trip(self, tmp_path):
         path = tmp_path / "empty.rawt"

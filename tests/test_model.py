@@ -214,6 +214,57 @@ def model_values(model):
     return found
 
 
+class TestImageInput:
+    """The model input is a constant: the classical conv reads its real
+    channels at t=0, and nothing differentiates back into it."""
+
+    @staticmethod
+    def graded(model, x):
+        tape = Tape()
+        logits = model.forward(x, mode="train", tape=tape)
+        _, grad = softmax_cross_entropy(logits.data, np.arange(len(x)) % 5)
+        tape.backward(logits, grad)
+        return logits.data, [(name, v.grad) for name, v in model.trainables()]
+
+    @pytest.mark.parametrize("conv_mode,history", [("classical", 0), ("classical", 2),
+                                                   ("grouped", 0), ("grouped", 2)])
+    def test_equals_the_net_fed_the_padded_image(self, conv_mode, history):
+        # weights do not depend on input_channels, so both nets draw the same;
+        # the second reads the image already padded to f channels
+        config = small_config(conv_mode=conv_mode, history=history)
+        padded_config = small_config(conv_mode=conv_mode, history=history,
+                                     input_channels=config.filters)
+        x = random_input(config, n=4, dtype=np.float64)
+        padded = np.concatenate([x, np.zeros((4, config.filters - 3, 8, 8))], axis=1)
+        got = self.graded(ThriftyNet(config, seed=40, dtype=np.float64), x)
+        want = self.graded(ThriftyNet(padded_config, seed=40, dtype=np.float64), padded)
+        assert max_rel_error(got[0], want[0]) < 1e-10
+        for (name, g), (_, w) in zip(got[1], want[1]):
+            assert max_rel_error(g, w) < 1e-10, name
+
+    def test_input_gets_no_gradient_and_no_tape_record(self, monkeypatch):
+        import thriftynet.model as model_module
+
+        seen = []
+
+        def spy(x, *args, **kwargs):
+            seen.append(x)
+            return channel_pad(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "channel_pad", spy)
+        config = small_config()  # T=4, pool at t=1, h=2
+        model = ThriftyNet(config, seed=41)
+        tape = Tape()
+        logits = model.forward(random_input(config, n=4), mode="train", tape=tape)
+        # 4 per iteration (conv, relu, add_scaled, bn), the pools of x_2 and
+        # x_1 at t=1 but not of the padded image x_0, and 3 for the head
+        assert len(tape) == 4 * 4 + 2 + 3
+        tape.backward(logits, np.ones_like(logits.data))
+        (image,) = seen
+        assert not image.needs_grad and image.grad is None
+        assert all(v.grad is not None for _, v in model.trainables())
+
+
 class TestPlainRecursion:
     def test_train_step_grads_only_trainables(self, tiny_pair):
         train_ds, test_ds = tiny_pair

@@ -123,6 +123,58 @@ class TestConv2d:
         assert tally.total == n * 3 * 4 * 4 * 2 * 3 * 3
 
 
+class TestNarrowConv:
+    """A classical conv on an input with C < f_in channels equals the conv of
+    that input zero-padded to f_in channels."""
+
+    @staticmethod
+    def case(a, b, padding, c=2, f_in=5):
+        rng = np.random.default_rng(a * 100 + b * 10 + padding)
+        x = rng.standard_normal((2, c, 6, 7))
+        padded = np.concatenate([x, np.zeros((2, f_in - c, 6, 7))], axis=1)
+        w = rng.standard_normal((4, f_in, a, b))
+        grad_out = rng.standard_normal(naive_conv2d(padded, w, padding=padding).shape)
+        return x, padded, w, grad_out
+
+    @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (3, 3, 0), (1, 1, 0), (5, 3, 2)])
+    def test_matches_naive_reference_of_padded_input(self, a, b, padding):
+        x, padded, w, grad_out = self.case(a, b, padding)
+        out = conv2d_raw(x, w, padding=padding)
+        np.testing.assert_allclose(out, naive_conv2d(padded, w, padding=padding),
+                                   rtol=0, atol=1e-10)
+        grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=padding)
+        want_x, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
+        assert grad_x.shape == x.shape and grad_w.shape == w.shape
+        np.testing.assert_allclose(grad_x, want_x[:, : x.shape[1]], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
+        assert not grad_w[:, x.shape[1] :].any()  # exactly zero past the real channels
+
+    @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (1, 1, 0)])
+    def test_constant_input_gets_no_gradient(self, a, b, padding):
+        x, padded, w, grad_out = self.case(a, b, padding)
+        image, weights = Value(x, needs_grad=False), Value(w)
+        tape = Tape()
+        out = conv2d(image, ConvKernel(weights), padding=padding, tape=tape)
+        tape.backward(out, grad_out)
+        assert image.grad is None
+        _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
+        np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
+
+    def test_tallies_nominal_macs(self):
+        x, _, w, _ = self.case(3, 3, 1)
+        for keep in (False, True):  # untaped chunks, and the taped whole batch
+            tally = MacTally()
+            if keep:
+                conv2d(Value(x), ConvKernel(Value(w)), padding=1, tape=Tape(), tally=tally)
+            else:
+                conv2d_raw(x, w, padding=1, tally=tally)
+            assert tally.total == 2 * 4 * 6 * 7 * 5 * 3 * 3  # f_in=5, not C=2
+
+    def test_depthwise_still_needs_every_channel(self):
+        with pytest.raises(ConfigurationError):
+            conv2d(Value(np.zeros((1, 2, 4, 4))), kernel(np.zeros((4, 1, 3, 3)), groups=4))
+
+
 class _MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
@@ -440,6 +492,14 @@ class TestChannelPad:
         with pytest.raises(ConfigurationError):
             channel_pad(Value(np.ones((1, 3, 2, 2))), 2)
 
+    def test_constant_input_records_nothing(self):
+        x = Value(np.ones((1, 3, 2, 2)), needs_grad=False)
+        tape = Tape()
+        out = channel_pad(x, 5, tape=tape)
+        assert len(tape) == 0 and not out.needs_grad
+        pooled = maxpool2x2(out, tape=tape)
+        assert len(tape) == 0 and not pooled.needs_grad
+
 
 class TestLinear:
     def test_identity(self):
@@ -550,6 +610,20 @@ class TestArithmeticOps:
         tape.backward(out, np.ones_like(out.data))
         np.testing.assert_array_equal(lag.grad, np.full((1, 1, 2, 2), 3.0))
         np.testing.assert_array_equal(fixed, np.full((1, 1), 3.0))
+
+    def test_add_scaled_constant_lag_still_grades_its_coefficient(self):
+        rng = np.random.default_rng(25)
+        base = Value(rng.standard_normal((2, 3, 4, 4)))
+        lags = [Value(rng.standard_normal((2, 3, 4, 4))),
+                Value(rng.standard_normal((2, 3, 4, 4)), needs_grad=False)]
+        coeffs = Value(rng.standard_normal((2, 2)))
+        tape = Tape()
+        out = add_scaled(base, lags, coeffs, 0, tape=tape)
+        seed = rng.standard_normal(out.data.shape)
+        tape.backward(out, seed)
+        assert lags[1].grad is None
+        np.testing.assert_allclose(lags[0].grad, coeffs.data[0, 0] * seed)
+        np.testing.assert_allclose(coeffs.grad[0], [(seed * lag.data).sum() for lag in lags])
 
     def test_add_scaled_rejects_bad_lags(self):
         base = Value(np.ones((1, 1, 2, 2)))
