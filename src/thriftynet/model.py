@@ -14,6 +14,11 @@ coefficient reproduces it bit for bit.  Whenever a downsampling fires, every
 stored history entry is pooled as well, keeping all lags at the resolution
 of the newest activation.  The head is a global max pool followed by a fully
 connected layer.
+
+Layout: the model takes (N, C, H, W) images, checkpoints hold conv weights
+as (f_out, f_in, a, b), and `ForwardRecord` reports (N, C, H, W) shapes.
+Inside, `forward` transposes the image once to channels-last (N, H, W, C),
+the layout of every tensor op, and the recursion never leaves it.
 """
 
 from __future__ import annotations
@@ -114,7 +119,13 @@ class ForwardRecord:
 
     post_means: list[np.ndarray] = field(default_factory=list)  # mean of x_{t+1}
     act_means: list[np.ndarray] = field(default_factory=list)   # mean of act(conv(x_t))
-    shapes: list[tuple[int, ...]] = field(default_factory=list)
+    shapes: list[tuple[int, ...]] = field(default_factory=list)  # of x_{t+1}, (N, C, H, W)
+
+
+def _channel_means(x: np.ndarray) -> np.ndarray:
+    """Per-channel mean of a channels-last activation, accumulated in float64
+    (a float32 sum over the leading axes adds every value in sequence)."""
+    return x.mean(axis=(0, 1, 2), dtype=np.float64).astype(x.dtype)
 
 
 def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
@@ -223,21 +234,18 @@ class ThriftyNet:
             raise ConfigurationError(
                 f"expected {cfg.input_channels} input channels, got {x.shape[1]}"
             )
-        if x.shape[1] > cfg.filters:
-            raise ConfigurationError(
-                f"input channels {x.shape[1]} exceed filters {cfg.filters}"
-            )
         if 2 ** cfg.n_pools > min(x.shape[2], x.shape[3]):
             raise ConfigurationError(
                 f"schedule performs {cfg.n_pools} halvings but input is only "
                 f"{x.shape[2]}x{x.shape[3]}"
             )
-        return np.ascontiguousarray(x, dtype=self.dtype)
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
 
     def forward(self, x: np.ndarray, mode: str = "train", tape: Tape | None = None,
                 tally: MacTally | None = None,
                 record: ForwardRecord | None = None) -> Value:
-        """Run the recursion; returns the (N, K) class scores as a Value."""
+        """Run the recursion on (N, C, H, W) images; returns the (N, K) class
+        scores as a Value."""
         cfg = self.config
         image = Value(self._check_input(x), needs_grad=False)
         # history[i] = x_{t-i}, newest first; x_0 is the image padded to f channels
@@ -252,7 +260,7 @@ class ThriftyNet:
                 tally.begin_iteration()
             a = self._activate(self._conv_step(cur, tape, tally), tape)
             if record is not None:
-                record.act_means.append(a.data.mean(axis=(0, 2, 3)))
+                record.act_means.append(_channel_means(a.data))
             u = add_scaled(a, history, alpha, t, tape=tape)
             v = batchnorm(u, self.bn[t], mode, tape=tape)
             keep = history[: cfg.history]  # entries still reachable next step
@@ -262,8 +270,9 @@ class ThriftyNet:
             cur = v
             history = [cur, *keep]
             if record is not None:
-                record.post_means.append(cur.data.mean(axis=(0, 2, 3)))
-                record.shapes.append(cur.data.shape)
+                record.post_means.append(_channel_means(cur.data))
+                n, h, w, c = cur.data.shape
+                record.shapes.append((n, c, h, w))
         pooled = global_max_pool(cur, tape=tape)
         flat = reshape(pooled, (pooled.data.shape[0], cfg.filters), tape=tape)
         if tally is not None:

@@ -1,10 +1,16 @@
 """Rank-4 tensors and the differentiable primitives the network is built from.
 
-Arrays use the (batch, channel, height, width) layout, C-contiguous, so
-element (n, c, h, w) lives at flat index ((n*C + c)*H + h)*W + w.  Every
-primitive comes as a forward plus an analytic backward; recording ops on a
-Tape while running forward and replaying the records in reverse accumulates
-gradients into every `Value` that contributed, parameters included.
+Activations use one layout, channels-last (batch, height, width, channel),
+C-contiguous, so element (n, h, w, c) lives at flat index
+((n*H + h)*W + w)*C + c.  A classical conv's im2col GEMM then reads and
+writes its (N*H*W, f) matrices as plain reshapes, batch norm reduces over
+rows of C contiguous values, and pooling strides over H and W with C
+innermost.  The public edges stay (batch, channel, height, width): the
+model transposes its input image once, and conv weights keep the shape
+(f_out, f_in, a, b).  Every primitive comes as a forward plus an analytic
+backward; recording ops on a Tape while running forward and replaying the
+records in reverse accumulates gradients into every `Value` that
+contributed, parameters included.
 
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
@@ -161,10 +167,35 @@ class MacTally:
 
 def check_tensor4(x: Array, name: str = "input") -> Array:
     if x.ndim != 4:
-        raise ConfigurationError(f"{name} must be rank 4 (N,C,H,W), got shape {x.shape}")
+        raise ConfigurationError(
+            f"{name} must be rank 4, (N,H,W,C) inside the tensor ops or (N,C,H,W) "
+            f"as a model input; got shape {x.shape}"
+        )
     if min(x.shape) < 1:
         raise ConfigurationError(f"{name} has an empty dimension: {x.shape}")
     return x
+
+
+def _channel_sum(x: Array) -> Array:
+    """Per-channel sum of an (N,H,W,C) array: over each image (one
+    matrix-vector product per image), then over the batch.  A plain sum
+    over the leading axes would add each channel's N*H*W values one after
+    another; at 128x32x32 float32 that is about 40 times less accurate."""
+    n, h, w, c = x.shape
+    return (np.ones(h * w, dtype=x.dtype) @ x.reshape(n, h * w, c)).sum(axis=0)
+
+
+def _channel_dot(x: Array, y: Array) -> Array:
+    """Per-channel <x, y> of two (N,H,W,C) arrays, summed like _channel_sum."""
+    return np.einsum("nhwc,nhwc->nc", x, y).sum(axis=0)
+
+
+def _dot(x: Array, y: Array) -> Array:
+    """<x, y> of two (N,H,W,C) arrays: one dot product per image, then their
+    sum; at 128x32x32x64 float32 a single dot over all the values is about
+    40 times less accurate."""
+    n = x.shape[0]
+    return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +247,27 @@ class ConvKernel:
         return int(self.weights.data.size)
 
 
-def _pad_hw(x: Array, padding: int) -> Array:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
 def _pad_nhwc(x: Array, ph: int, pw: int) -> Array:
-    """(N,C,H,W) -> channels-last (N,H+2ph,W+2pw,C), zero-padded by ph rows
-    and pw columns on each side, or cropped by -ph / -pw where negative.
-    Channels-last makes each kernel row of a patch one contiguous run of b*C
-    values for the gather below."""
+    """(N,H,W,C) zero-padded by ph rows and pw columns on each side, or
+    cropped by -ph / -pw where negative; x itself (or a view of it) when
+    nothing is added."""
     ch, cw = max(-ph, 0), max(-pw, 0)
-    x = x[:, :, ch : x.shape[2] - ch, cw : x.shape[3] - cw]
+    x = x[:, ch : x.shape[1] - ch, cw : x.shape[2] - cw]
     ph, pw = max(ph, 0), max(pw, 0)
-    n, c, h, w = x.shape
+    if ph == 0 and pw == 0:
+        return x
+    n, h, w, c = x.shape
     out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
-    out[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
+    out[:, ph : ph + h, pw : pw + w] = x
     return out
 
 
-def _gather_cols(xpt: Array, a: int, b: int) -> Array:
+def _gather_cols(xp: Array, a: int, b: int) -> Array:
     """(N,Hp,Wp,C) -> (N*Ho*Wo, a*b*C) patch matrix for one fat GEMM, in K
     order (i, j, c).  One copy of a window view: every (n, ho, wo, i) step
     moves a contiguous run of b*C values."""
-    n, hp, wp, c = xpt.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xpt, (a, b), axis=(1, 2))
+    n, hp, wp, c = xp.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (a, b), axis=(1, 2))
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
     return cols.reshape(n * (hp - a + 1) * (wp - b + 1), a * b * c)
 
@@ -264,7 +290,7 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
     is returned so a taped backward can skip regathering it; without, the
     batch runs in chunks of _UNTAPED_CHUNK images, so a large eval batch
     never holds its full patch matrix."""
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     f_out, f_in, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
     if tally is not None:
@@ -272,10 +298,9 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
     w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
         # pointwise: a plain channel-mixing matmul
-        out = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (f_out,N,H,W)
-        return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), None
+        return (x.reshape(-1, c) @ w[:, :, 0, 0].T).reshape(n, h, width, f_out), None
     wmat = _kernel_matrix(w)
-    out = np.empty((n, f_out, ho, wo), dtype=x.dtype)
+    out = np.empty((n, ho, wo, f_out), dtype=x.dtype)
     if keep:
         return out, _gemm_conv_into(out, x, wmat, padding, a, b)
     for start in range(0, n, _UNTAPED_CHUNK):
@@ -285,11 +310,11 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
 
 
 def _gemm_conv_into(out: Array, x: Array, wmat: Array, padding: int, a: int, b: int) -> Array:
-    """Convolve x into `out` (N,f_out,Ho,Wo) with one im2col GEMM; returns the
-    patch matrix, which a caller that drops it frees before the next chunk."""
+    """Convolve x into `out` (N,Ho,Wo,f_out), whose rows are the GEMM's
+    output rows; returns the patch matrix, which a caller that drops it
+    frees before the next chunk."""
     cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-    out2d = cols @ wmat
-    out[...] = out2d.reshape(out.shape[0], out.shape[2], out.shape[3], -1).transpose(0, 3, 1, 2)
+    np.matmul(cols, wmat, out=out.reshape(-1, out.shape[3]))
     return cols
 
 
@@ -302,63 +327,59 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     in/out axes swapped: g is padded by a-1-p rows and b-1-p columns (cropped
     instead where padding > a-1 or > b-1), then goes through the forward's
     gather and one GEMM."""
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     f_out, _, a, b = w.shape
-    ho, wo = g.shape[2], g.shape[3]
+    g2d = g.reshape(-1, f_out)
     grad_w = np.zeros_like(w)
     w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
-        grad_w[:, :c, 0, 0] = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+        grad_w[:, :c, 0, 0] = g2d.T @ x.reshape(-1, c)
         if not need_x:
             return None, grad_w
-        grad_x = np.tensordot(g, w[:, :, 0, 0], axes=([1], [0])).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(grad_x), grad_w
+        return (g2d @ w[:, :, 0, 0]).reshape(n, h, width, c), grad_w
     if cols is None:
         cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-    g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f_out)
     grad_w[:, :c] = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
     if not need_x:
         return None, grad_w
     gcols = _gather_cols(_pad_nhwc(g, a - 1 - padding, b - 1 - padding), a, b)
     grad_x = gcols @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    grad_x = grad_x.reshape(n, h, width, c).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(grad_x), grad_w
+    return grad_x.reshape(n, h, width, c), grad_w
 
 
 def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None,
                               keep: bool) -> tuple[Array, None]:
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     _, _, a, b = w.shape
-    xp = _pad_hw(x, padding)
+    xp = _pad_nhwc(x, padding, padding)
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
     if tally is not None:
         tally.add(n * c * ho * wo * a * b)
-    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    out = np.zeros((n, ho, wo, c), dtype=x.dtype)
     for i in range(a):
         for j in range(b):
-            out += w[:, 0, i, j].reshape(1, c, 1, 1) * xp[:, :, i : i + ho, j : j + wo]
+            out += xp[:, i : i + ho, j : j + wo] * w[:, 0, i, j]
     return out, None
 
 
 def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
                                _saved: None = None,
                                need_x: bool = True) -> tuple[Array | None, Array]:
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     _, _, a, b = w.shape
-    ho, wo = g.shape[2], g.shape[3]
-    xp = _pad_hw(x, padding)
+    ho, wo = g.shape[1], g.shape[2]
+    xp = _pad_nhwc(x, padding, padding)
     grad_w = np.zeros_like(w)
     grad_xp = np.zeros_like(xp)
     for i in range(a):
         for j in range(b):
-            window = xp[:, :, i : i + ho, j : j + wo]
-            grad_w[:, 0, i, j] = (g * window).sum(axis=(0, 2, 3))
+            grad_w[:, 0, i, j] = _channel_dot(g, xp[:, i : i + ho, j : j + wo])
             if need_x:
-                grad_xp[:, :, i : i + ho, j : j + wo] += g * w[:, 0, i, j].reshape(1, c, 1, 1)
+                grad_xp[:, i : i + ho, j : j + wo] += g * w[:, 0, i, j]
     if not need_x:
         return None, grad_w
     if padding:
-        grad_xp = grad_xp[:, :, padding : padding + h, padding : padding + width]
+        grad_xp = grad_xp[:, padding : padding + h, padding : padding + width]
     return np.ascontiguousarray(grad_xp), grad_w
 
 
@@ -388,8 +409,8 @@ def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
     """Gradients of conv2d_raw w.r.t. its input and weights (full-size, zero
     past the channels of a narrow input)."""
     _, backward = _conv_kernels(w, groups)
-    expected = (x.shape[0], w.shape[0], x.shape[2] + 2 * padding - w.shape[2] + 1,
-                x.shape[3] + 2 * padding - w.shape[3] + 1)
+    expected = (x.shape[0], x.shape[1] + 2 * padding - w.shape[2] + 1,
+                x.shape[2] + 2 * padding - w.shape[3] + 1, w.shape[0])
     if grad_out.shape != expected:
         raise ConfigurationError(
             f"grad_out shape {grad_out.shape} does not match forward output {expected}"
@@ -408,15 +429,15 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
         padding = kernel.same_padding
     if padding < 0:
         raise ConfigurationError(f"padding must be >= 0, got {padding}")
-    c = x.data.shape[1]
+    c = x.data.shape[3]
     if c > kernel.f_in or (c < kernel.f_in and kernel.groups != 1):
         raise ConfigurationError(
             f"input has {c} channels but kernel expects "
             f"{'at most ' if kernel.groups == 1 else ''}{kernel.f_in}"
         )
-    if x.data.shape[2] + 2 * padding < a or x.data.shape[3] + 2 * padding < b:
+    if x.data.shape[1] + 2 * padding < a or x.data.shape[2] + 2 * padding < b:
         raise ConfigurationError(
-            f"spatial size {x.data.shape[2:]} too small for kernel {a}x{b} "
+            f"spatial size {x.data.shape[1:3]} too small for kernel {a}x{b} "
             f"with padding {padding}"
         )
     x_data, w = x.data, kernel.weights
@@ -439,7 +460,7 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
 def grouped_conv(x: Value, depthwise: ConvKernel, pointwise: ConvKernel, *,
                  tape: Tape | None = None, tally: MacTally | None = None) -> Value:
     """Depthwise axb convolution followed by a pointwise 1x1 channel mix."""
-    c = x.data.shape[1]
+    c = x.data.shape[3]
     if depthwise.groups != c or depthwise.f_out != c:
         raise ConfigurationError(
             f"depthwise kernel must have groups == channels == {c}, "
@@ -483,21 +504,23 @@ class BatchNormState:
 def _bn_train_backward(g: Array, xhat: Array, inv_std: Array, gamma: Array,
                        m: int) -> tuple[Array, Array, Array]:
     # with dxhat = gamma*g: grad_x = inv/m * (m*dxhat - sum(dxhat)
-    #                                         - xhat*sum(dxhat*xhat))
-    grad_beta = np.einsum("nchw->c", g)
-    grad_gamma = np.einsum("nchw,nchw->c", g, xhat)
-    coef = gamma * inv_std
-    grad_x = xhat * (-(coef * grad_gamma / m).reshape(1, -1, 1, 1))
-    grad_x += coef.reshape(1, -1, 1, 1) * g
-    grad_x -= (coef * grad_beta / m).reshape(1, -1, 1, 1)
+    #                                         - xhat*sum(dxhat*xhat)),
+    # built in one buffer as gamma*inv * (g - (xhat*sum(g*xhat) + sum(g))/m)
+    grad_beta = _channel_sum(g)
+    grad_gamma = _channel_dot(g, xhat)
+    grad_x = xhat * (grad_gamma / m)
+    grad_x += grad_beta / m
+    np.subtract(g, grad_x, out=grad_x)
+    grad_x *= gamma * inv_std
     return grad_x, grad_gamma, grad_beta
 
 
 def batchnorm(x: Value, state: BatchNormState, mode: str, *,
               tape: Tape | None = None) -> Value:
-    """Per-channel normalization over (N,H,W); `mode` is "train" or "eval"."""
+    """Per-channel normalization over (N,H,W); `mode` is "train" or "eval".
+    Eval mode is one per-channel scale and shift of the running stats."""
     check_tensor4(x.data)
-    c = x.data.shape[1]
+    c = x.data.shape[3]
     if state.gamma.data.shape != (c,):
         raise ConfigurationError(
             f"batchnorm state has {state.gamma.data.shape[0]} channels, input has {c}"
@@ -505,27 +528,21 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"mode must be 'train' or 'eval', got {mode!r}")
     gamma, beta = state.gamma, state.beta
-    gview = gamma.data.reshape(1, c, 1, 1)
-    bview = beta.data.reshape(1, c, 1, 1)
     if mode == "train":
-        n, _, h, w = x.data.shape
+        n, h, w, _ = x.data.shape
         m = n * h * w
         if m == 1:
             raise DegenerateBatchError(
                 "train-mode batchnorm needs more than one value per channel"
             )
-        # one mean pass, not x.mean() plus the one inside x.var(), with the
-        # same operations as x.var(), so the same bits; xhat holds the
-        # deviations until it is normalized in place
-        mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+        # xhat holds the deviations until it is normalized in place
+        mean = _channel_sum(x.data) / m
         xhat = x.data - mean
-        var = np.square(xhat).sum(axis=(0, 2, 3))
-        var /= m  # biased (1/m) estimator
-        mean = mean.reshape(c)
+        var = _channel_dot(xhat, xhat) / m  # biased (1/m) estimator
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat *= inv_std.reshape(1, c, 1, 1)
-        out_data = gview * xhat
-        out_data += bview
+        xhat *= inv_std
+        out_data = xhat * gamma.data
+        out_data += beta.data
         out = Value(out_data)
         rho = state.momentum
         state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
@@ -542,14 +559,17 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
         return out
 
     inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-    xhat = (x.data - state.running_mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = Value(gview * xhat + bview)
+    scale = gamma.data * inv_std
+    out_data = x.data * scale
+    out_data += beta.data - state.running_mean * scale
+    out = Value(out_data)
     if tape is not None:
+        x_data, mean = x.data, state.running_mean.copy()
 
         def backward(g: Array) -> None:
-            _accumulate(x, g * (gamma.data * inv_std).reshape(1, c, 1, 1), owned=True)
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)), owned=True)
-            _accumulate(beta, g.sum(axis=(0, 2, 3)), owned=True)
+            _accumulate(x, g * scale, owned=True)
+            _accumulate(gamma, _channel_dot(g, (x_data - mean) * inv_std), owned=True)
+            _accumulate(beta, _channel_sum(g), owned=True)
 
         tape.record(out, backward)
     return out
@@ -589,77 +609,97 @@ def tanh_act(x: Value, *, tape: Tape | None = None) -> Value:
 # ---------------------------------------------------------------------------
 
 
+def _pool_winner(c0: Array, c1: Array, c2: Array, c3: Array, top: Array,
+                 bottom: Array) -> Array:
+    """Index 0-3 (row-major) of each 2x2 window's first maximal corner, as
+    uint8, from the forward's maxima top = max(c0, c1) and bottom =
+    max(c2, c3): it is where(bottom > top, 2 + (c3 > c2), c1 > c0), built
+    with in-place bit operations on booleans, which np.where with mixed
+    types would do four times slower."""
+    low = np.greater(bottom, top)  # the winner is in the bottom row
+    col = np.greater(c1, c0)
+    col_bottom = np.greater(c3, c2)
+    col_bottom ^= col
+    col_bottom &= low
+    col ^= col_bottom  # c3 > c2 in the bottom row, c1 > c0 in the top
+    winner = low.view(np.uint8)
+    winner += winner
+    winner += col.view(np.uint8)
+    return winner
+
+
 def maxpool2x2(x: Value, *, tape: Tape | None = None) -> Value:
     """2x2/stride-2 max pooling; odd sizes are replicate-padded right/bottom.
 
     Ties route their gradient to the first element in row-major window
-    order, realized by masking each window corner against the max and
-    excluding positions an earlier corner already claimed.
+    order: a taped forward saves each window's winning corner as a uint8
+    index, and the backward writes g to that corner and zero to the others.
     """
     check_tensor4(x.data)
-    n, c, h, w = x.data.shape
+    n, h, w, c = x.data.shape
     pad_h, pad_w = h % 2, w % 2
     xp = x.data
     if pad_h or pad_w:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-    corners = [xp[:, :, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
-    out_data = np.maximum(np.maximum(corners[0], corners[1]),
-                          np.maximum(corners[2], corners[3]))
-    out = Value(out_data, needs_grad=x.needs_grad)
+        xp = np.pad(x.data, ((0, 0), (0, pad_h), (0, pad_w), (0, 0)), mode="edge")
+    corners = [xp[:, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
+    top = np.maximum(corners[0], corners[1])
+    bottom = np.maximum(corners[2], corners[3])
+    out = Value(np.maximum(top, bottom), needs_grad=x.needs_grad)
     if tape is not None and x.needs_grad:
+        winner = _pool_winner(*corners, top, bottom)
+        hp, wp = xp.shape[1:3]
 
         def backward(g: Array) -> None:
-            gxp = np.empty_like(xp)
-            claimed = np.zeros(out_data.shape, dtype=bool)
-            for corner, (di, dj) in zip(corners, ((0, 0), (0, 1), (1, 0), (1, 1))):
-                mask = (corner == out_data) & ~claimed
-                claimed |= mask
-                gxp[:, :, di::2, dj::2] = g * mask
+            gxp = np.empty((n, hp, wp, c), dtype=g.dtype)
+            # (n, i, di, j, dj, c): corner k of window (i, j) is (k >> 1, k & 1)
+            windows = gxp.reshape(n, hp // 2, 2, wp // 2, 2, c)
+            for k in range(4):
+                np.multiply(g, winner == k, out=windows[:, :, k >> 1, :, k & 1])
             if pad_h:
-                gxp[:, :, h - 1, :] += gxp[:, :, h, :]
+                gxp[:, h - 1] += gxp[:, h]
             if pad_w:
-                gxp[:, :, :, w - 1] += gxp[:, :, :, w]
-            _accumulate(x, gxp[:, :, :h, :w], owned=True)  # view into fresh gxp
+                gxp[:, :, w - 1] += gxp[:, :, w]
+            _accumulate(x, gxp[:, :h, :w], owned=True)  # view into fresh gxp
 
         tape.record(out, backward)
     return out
 
 
 def global_max_pool(x: Value, *, tape: Tape | None = None) -> Value:
-    """(N,C,H,W) -> (N,C,1,1), the spatial maximum of each channel."""
+    """(N,H,W,C) -> (N,1,1,C), the spatial maximum of each channel."""
     check_tensor4(x.data)
-    n, c, h, w = x.data.shape
-    flat = x.data.reshape(n, c, h * w)
-    idx = flat.argmax(axis=-1)
-    out = Value(np.take_along_axis(flat, idx[..., None], axis=-1).reshape(n, c, 1, 1))
+    n, h, w, c = x.data.shape
+    flat = x.data.reshape(n, h * w, c)
+    idx = flat.argmax(axis=1)[:, None]
+    out = Value(np.take_along_axis(flat, idx, axis=1).reshape(n, 1, 1, c))
     if tape is not None:
 
         def backward(g: Array) -> None:
-            scattered = np.zeros((n, c, h * w), dtype=g.dtype)
-            np.put_along_axis(scattered, idx[..., None], g.reshape(n, c, 1), axis=-1)
-            _accumulate(x, scattered.reshape(n, c, h, w), owned=True)
+            scattered = np.zeros((n, h * w, c), dtype=g.dtype)
+            np.put_along_axis(scattered, idx, g.reshape(n, 1, c), axis=1)
+            _accumulate(x, scattered.reshape(n, h, w, c), owned=True)
 
         tape.record(out, backward)
     return out
 
 
 def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> Value:
-    """Embed (N,C,H,W) into (N,target,H,W); the extra channels are zero."""
+    """Embed (N,H,W,C) into (N,H,W,target); the extra channels are zero."""
     check_tensor4(x.data)
-    n, c, h, w = x.data.shape
+    n, h, w, c = x.data.shape
     if target_channels < c:
         raise ConfigurationError(
             f"cannot pad {c} channels down to {target_channels}"
         )
     if target_channels == c:
         return x
-    padded = np.zeros((n, target_channels, h, w), dtype=x.data.dtype)
-    padded[:, :c] = x.data
+    padded = np.zeros((n, h, w, target_channels), dtype=x.data.dtype)
+    padded[..., :c] = x.data
     out = Value(padded, needs_grad=x.needs_grad)
     if tape is not None and x.needs_grad:
 
         def backward(g: Array) -> None:
-            _accumulate(x, g[:, :c])
+            _accumulate(x, g[..., :c])
 
         tape.record(out, backward)
     return out
@@ -687,8 +727,8 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
     """base + sum_i coeffs[t, i] * lags[i], as one op with one backward.
 
     `coeffs` is either a trained Value, whose row t receives the gradient
-    <g, lags[i]> for each lag used, or a fixed array that receives none.
-    A constant lag gets no gradient, but its coefficient still does.
+    <g, lags[i]> for each lag used, or a fixed array that receives none.  A constant lag gets no
+    gradient, but its coefficient still does.
     The terms are summed as (lags[0]*coeffs[t,0] + base) + lags[1]*coeffs[t,1]
     + ..., in lag order.
     """
@@ -719,7 +759,7 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
                 if lag.needs_grad:
                     _accumulate(lag, scale * g, owned=True)
                 if trained:
-                    coeffs.grad[t, i] += np.vdot(g, lag.data)
+                    coeffs.grad[t, i] += _dot(g, lag.data)
 
         tape.record(out, backward)
     return out

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ImageDataset, augment_batch, batches
-from .errors import CheckpointError, ConfigurationError, NumericalError
+from .errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from .metrics import MetricLog, MetricRow, now, read_metric_log, write_metric_log, write_timing
 from .model import ThriftyNet, _Reader, deserialize_model, serialize_model
 from .tensor import Tape, Value, softmax_cross_entropy
@@ -125,11 +125,17 @@ def alpha_well_distance(alpha: np.ndarray) -> float:
 
 def evaluate(model: ThriftyNet, dataset: ImageDataset, batch_size: int = 500) -> float:
     """Eval-mode accuracy in percent over a dataset."""
+    _require_images(dataset)
     correct = 0
     for images, labels in batches(dataset, batch_size, shuffle=False, augment=False):
         logits = model.forward(images, mode="eval")
         correct += int((logits.data.argmax(axis=1) == labels).sum())
     return 100.0 * correct / len(dataset)
+
+
+def _require_images(dataset: ImageDataset) -> None:
+    if len(dataset) == 0:
+        raise DataError(f"the {dataset.split} split has no images")
 
 
 @dataclass
@@ -171,6 +177,9 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
             f"dataset has {train_ds.class_count} classes, model expects "
             f"{model.config.num_classes}"
         )
+    # an empty split would fail only after the first epoch's training
+    _require_images(train_ds)
+    _require_images(test_ds)
     all_params = model.trainables()
     opt_params = [(n, v) for n, v in all_params if not (freeze_alpha and n == "alpha")]
     opt = SGD(opt_params, config.momentum, config.weight_decay)

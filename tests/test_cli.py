@@ -121,6 +121,19 @@ class TestTrain:
             outputs.append((out / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_empty_test_split_exits_3_before_training(self, capsys, raw_dataset_files,
+                                                      tmp_path):
+        from thriftynet.data import save_raw
+
+        train_path, _ = raw_dataset_files
+        empty = tmp_path / "empty.rawt"
+        save_raw(empty, np.zeros((0, 3, 32, 32), dtype=np.float32), np.zeros(0))
+        out = tmp_path / "run"
+        code, _, err = run(capsys, *train_args((train_path, empty), out))
+        assert code == 3
+        assert "no images" in err
+        assert not (out / "last.ckpt").exists()
+
     def test_config_file_with_flag_override(self, capsys, raw_dataset_files,
                                             tmp_path):
         train_path, test_path = raw_dataset_files

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _layout import nchw, nhwc
 from thriftynet.errors import CheckpointError, ConfigurationError
-from thriftynet.gradcheck import finite_difference, max_rel_error
+from thriftynet.gradcheck import check_model_gradients, finite_difference, max_rel_error
 from thriftynet.model import (
     _HEADER,
     CHECKPOINT_MAGIC,
@@ -68,12 +69,12 @@ class TestPlainForward:
         x = random_input(config, n=2, hw=6, dtype=np.float64)
         rec = ForwardRecord()
         logits = model.forward(x, mode="eval", record=rec)
-        expected = batchnorm(channel_pad(Value(x), 3), model.bn[0], "eval")
+        expected = nchw(batchnorm(channel_pad(Value(nhwc(x)), 3), model.bn[0], "eval").data)
         np.testing.assert_array_equal(
-            rec.post_means[0], expected.data.mean(axis=(0, 2, 3))
+            rec.post_means[0], expected.mean(axis=(0, 2, 3))
         )
         np.testing.assert_array_equal(
-            logits.data, expected.data.max(axis=(2, 3))
+            logits.data, expected.max(axis=(2, 3))
         )
 
     def test_cifar_shape_trace(self):
@@ -194,6 +195,12 @@ class TestResidualForward:
         restore()
         numeric = finite_difference(loss_fn, model.alpha)
         assert max_rel_error(model.alpha.grad, numeric) < 1e-5
+
+    def test_eval_mode_gradients_match_finite_differences(self):
+        # a taped eval forward: batch norm is the running stats' scale and shift
+        results = check_model_gradients(seed=3, mode="eval")
+        assert all(r.passed for r in results), \
+            [f"{r.name}: {r.max_rel_err:.2e}" for r in results if not r.passed]
 
 
 def model_values(model):

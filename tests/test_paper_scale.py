@@ -1,0 +1,49 @@
+"""The paper's CIFAR-10 net (f=64, T=15, h=5, 4 pools): float32 gradients
+against float64 ones, and the structure of its tape."""
+
+import numpy as np
+import pytest
+
+from thriftynet.gradcheck import max_rel_error
+from thriftynet.model import ThriftyConfig, ThriftyNet
+from thriftynet.planner import make_schedule
+from thriftynet.tensor import Tape, softmax_cross_entropy
+
+PAPER = ThriftyConfig(filters=64, iterations=15, schedule=make_schedule(15, 4), history=5)
+
+
+def graded(model: ThriftyNet, x: np.ndarray, labels: np.ndarray) -> dict:
+    tape = Tape()
+    logits = model.forward(x, mode="train", tape=tape)
+    _, grad = softmax_cross_entropy(logits.data, labels)
+    tape.backward(logits, grad)
+    return {name: v.grad for name, v in model.trainables()}
+
+
+def test_float32_gradients_track_float64_at_paper_depth():
+    # Batch norm's per-channel sums run over 16*32*32 values per channel at
+    # t=0..2; summed row after row in float32 they move these gradients
+    # about ten times past the bound.
+    m32 = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    m64 = ThriftyNet(PAPER, seed=1, dtype=np.float64, alpha_init="uniform")
+    for (_, v64), (_, v32) in zip(m64.trainables(), m32.trainables()):
+        v64.data = v32.data.astype(np.float64)  # the very same weights
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+    labels = rng.integers(0, 10, size=16)
+    g32 = graded(m32, x, labels)
+    g64 = graded(m64, x.astype(np.float64), labels)
+    errors = {name: max_rel_error(g32[name], g64[name]) for name in g64}
+    assert max(errors.values()) <= 5e-4, errors
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_paper_forward_records_84_ops(mode):
+    # 4 per iteration (conv, relu, add_scaled, bn), 21 pools (each pooling
+    # step pools x_{t+1} and every lag still reachable, never the constant
+    # x_0), and 3 for the head (global max pool, reshape, linear)
+    model = ThriftyNet(PAPER, seed=0)
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    tape = Tape()
+    model.forward(x, mode=mode, tape=tape)
+    assert len(tape) == 4 * 15 + 21 + 3 == 84

@@ -5,6 +5,7 @@ import ctypes
 import numpy as np
 import pytest
 
+from _layout import nchw, nhwc
 from _oracles import (
     naive_batchnorm_train,
     naive_conv2d,
@@ -49,21 +50,21 @@ def build_loss_scalar(build_loss):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = Value(np.ones((1, 1, 3, 3)))
+        x = Value(nhwc(np.ones((1, 1, 3, 3))))
         out = conv2d(x, kernel(np.ones((1, 1, 1, 1))), padding=0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_ones_kernel_border_counts(self):
-        x = Value(np.ones((1, 1, 3, 3)))
+        x = Value(nhwc(np.ones((1, 1, 3, 3))))
         out = conv2d(x, kernel(np.ones((1, 1, 3, 3))), padding=1)
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float64)
-        np.testing.assert_array_equal(out.data[0, 0], expected)
+        np.testing.assert_array_equal(nchw(out.data)[0, 0], expected)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 4, 8, 8))
         w = rng.standard_normal((8, 4, 3, 3))
-        out = conv2d_raw(x, w, groups=1, padding=1)
+        out = nchw(conv2d_raw(nhwc(x), w, groups=1, padding=1))
         ref = naive_conv2d(x, w, groups=1, padding=1)
         assert max_rel_error(out, ref) < 1e-6
 
@@ -72,7 +73,7 @@ class TestConv2d:
         rng = np.random.default_rng(groups)
         x = rng.standard_normal((2, channels, 5, 5))
         w = rng.standard_normal((f_out, channels // groups, 3, 3))
-        out = conv2d_raw(x, w, groups=groups, padding=1)
+        out = nchw(conv2d_raw(nhwc(x), w, groups=groups, padding=1))
         ref = naive_conv2d(x, w, groups=groups, padding=1)
         assert max_rel_error(out, ref) < 1e-6
 
@@ -81,15 +82,15 @@ class TestConv2d:
         with pytest.raises(ConfigurationError):
             kernel(w, groups=2)
         with pytest.raises(ConfigurationError):
-            conv2d_raw(np.zeros((1, 4, 5, 5)), w, groups=2, padding=1)
+            conv2d_raw(nhwc(np.zeros((1, 4, 5, 5))), w, groups=2, padding=1)
         with pytest.raises(ConfigurationError):
             kernel(np.zeros((6, 1, 3, 3)), groups=3)  # one channel per group, f_out != groups
         assert kernel(np.zeros((6, 1, 3, 3)), groups=6).f_in == 6
 
     def test_linearity_in_input_and_weights(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
-        z = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        x = nhwc(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        z = nhwc(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         a, b = np.float32(0.7), np.float32(-1.3)
         mixed = conv2d_raw(a * x + b * z, w, padding=1)
@@ -102,7 +103,7 @@ class TestConv2d:
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            conv2d(Value(np.zeros((1, 3, 4, 4))), kernel(np.zeros((2, 2, 3, 3))))
+            conv2d(Value(nhwc(np.zeros((1, 3, 4, 4)))), kernel(np.zeros((2, 2, 3, 3))))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -116,10 +117,11 @@ class TestConv2d:
         x = rng.standard_normal((n, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
         tally = MacTally()
-        out = conv2d_raw(x, w, padding=1, tally=tally)
-        per_image = np.concatenate([conv2d_raw(x[i : i + 1], w, padding=1) for i in range(n)])
+        out = conv2d_raw(nhwc(x), w, padding=1, tally=tally)
+        per_image = np.concatenate([conv2d_raw(nhwc(x[i : i + 1]), w, padding=1)
+                                    for i in range(n)])
         assert out.tobytes() == per_image.tobytes()
-        assert max_rel_error(out, naive_conv2d(x, w, padding=1)) < 1e-10
+        assert max_rel_error(nchw(out), naive_conv2d(x, w, padding=1)) < 1e-10
         assert tally.total == n * 3 * 4 * 4 * 2 * 3 * 3
 
 
@@ -139,10 +141,11 @@ class TestNarrowConv:
     @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (3, 3, 0), (1, 1, 0), (5, 3, 2)])
     def test_matches_naive_reference_of_padded_input(self, a, b, padding):
         x, padded, w, grad_out = self.case(a, b, padding)
-        out = conv2d_raw(x, w, padding=padding)
+        out = nchw(conv2d_raw(nhwc(x), w, padding=padding))
         np.testing.assert_allclose(out, naive_conv2d(padded, w, padding=padding),
                                    rtol=0, atol=1e-10)
-        grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=padding)
+        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+        grad_x = nchw(grad_x)
         want_x, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
         assert grad_x.shape == x.shape and grad_w.shape == w.shape
         np.testing.assert_allclose(grad_x, want_x[:, : x.shape[1]], rtol=0, atol=1e-10)
@@ -152,16 +155,17 @@ class TestNarrowConv:
     @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (1, 1, 0)])
     def test_constant_input_gets_no_gradient(self, a, b, padding):
         x, padded, w, grad_out = self.case(a, b, padding)
-        image, weights = Value(x, needs_grad=False), Value(w)
+        image, weights = Value(nhwc(x), needs_grad=False), Value(w)
         tape = Tape()
         out = conv2d(image, ConvKernel(weights), padding=padding, tape=tape)
-        tape.backward(out, grad_out)
+        tape.backward(out, nhwc(grad_out))
         assert image.grad is None
         _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
 
     def test_tallies_nominal_macs(self):
         x, _, w, _ = self.case(3, 3, 1)
+        x = nhwc(x)
         for keep in (False, True):  # untaped chunks, and the taped whole batch
             tally = MacTally()
             if keep:
@@ -172,7 +176,8 @@ class TestNarrowConv:
 
     def test_depthwise_still_needs_every_channel(self):
         with pytest.raises(ConfigurationError):
-            conv2d(Value(np.zeros((1, 2, 4, 4))), kernel(np.zeros((4, 1, 3, 3)), groups=4))
+            conv2d(Value(nhwc(np.zeros((1, 2, 4, 4)))),
+                   kernel(np.zeros((4, 1, 3, 3)), groups=4))
 
 
 class _MallInfo2(ctypes.Structure):
@@ -198,16 +203,16 @@ def test_large_arrays_come_from_the_heap():
 
 class TestConv2dBackward:
     def test_transpose_of_ones_kernel(self):
-        x = np.random.default_rng(1).standard_normal((2, 1, 4, 4))
+        x = nhwc(np.random.default_rng(1).standard_normal((2, 1, 4, 4)))
         w = np.ones((1, 1, 1, 1))
-        grad_out = np.ones((2, 1, 4, 4))
+        grad_out = nhwc(np.ones((2, 1, 4, 4)))
         grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=0)
         np.testing.assert_array_equal(grad_x, np.ones_like(x))
         np.testing.assert_allclose(grad_w[0, 0, 0, 0], x.sum())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            conv2d_backward(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 5, 5)),
+            conv2d_backward(nhwc(np.zeros((1, 1, 5, 5))), nhwc(np.zeros((1, 1, 5, 5))),
                             np.zeros((1, 1, 3, 3)), padding=0)
 
     # (a, b, padding): padding > a-1 or > b-1 crops the output gradient
@@ -219,7 +224,8 @@ class TestConv2dBackward:
         x = rng.standard_normal((2, 3, 5, 6))
         w = rng.standard_normal((4, 3, a, b))
         grad_out = rng.standard_normal(naive_conv2d(x, w, padding=padding).shape)
-        grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=padding)
+        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+        grad_x = nchw(grad_x)
         want_x, want_w = naive_conv2d_backward(grad_out, x, w, padding=padding)
         assert grad_x.shape == x.shape and grad_w.shape == w.shape
         np.testing.assert_allclose(grad_x, want_x, rtol=0, atol=1e-10)
@@ -229,9 +235,9 @@ class TestConv2dBackward:
     def test_finite_differences(self, groups):
         rng = np.random.default_rng(42 + groups)
         c = 4
-        x = Value(rng.standard_normal((2, c, 5, 5)))
+        x = Value(nhwc(rng.standard_normal((2, c, 5, 5))))
         w = Value(rng.standard_normal((4, c // groups, 3, 3)))
-        weights = rng.standard_normal((2, 4, 5, 5))
+        weights = nhwc(rng.standard_normal((2, 4, 5, 5)))
 
         def run(analytic=True):
             tape = Tape()
@@ -254,7 +260,7 @@ class TestGroupedConv:
         dw = np.zeros((f, 1, 3, 3))
         dw[:, 0, 1, 1] = 1.0  # centered delta per channel
         pw = np.eye(f).reshape(f, f, 1, 1)
-        x = Value(np.random.default_rng(2).standard_normal((2, f, 5, 5)))
+        x = Value(nhwc(np.random.default_rng(2).standard_normal((2, f, 5, 5))))
         out = grouped_conv(x, kernel(dw, groups=f), kernel(pw))
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
@@ -267,7 +273,7 @@ class TestGroupedConv:
     def test_equals_two_separate_convs(self):
         rng = np.random.default_rng(3)
         f = 6
-        x = Value(rng.standard_normal((2, f, 7, 7)))
+        x = Value(nhwc(rng.standard_normal((2, f, 7, 7))))
         dw = kernel(rng.standard_normal((f, 1, 3, 3)), groups=f)
         pw = kernel(rng.standard_normal((f, f, 1, 1)))
         combined = grouped_conv(x, dw, pw)
@@ -280,11 +286,11 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         # tolerance 1e-5 assumes unit-or-larger variance: output var is
         # exactly var/(var + eps), i.e. 1 - eps/var
-        x = Value(1.5 * rng.standard_normal((4, 3, 6, 6)))
+        x = Value(nhwc(1.5 * rng.standard_normal((4, 3, 6, 6))))
         state = BatchNormState.create(3, dtype=np.float64)
-        out = batchnorm(x, state, "train")
-        means = out.data.mean(axis=(0, 2, 3))
-        variances = out.data.var(axis=(0, 2, 3))
+        out = nchw(batchnorm(x, state, "train").data)
+        means = out.mean(axis=(0, 2, 3))
+        variances = out.var(axis=(0, 2, 3))
         np.testing.assert_allclose(means, 0.0, atol=1e-6)
         np.testing.assert_allclose(variances, 1.0, atol=1e-5)
 
@@ -294,16 +300,16 @@ class TestBatchNorm:
         state = BatchNormState.create(4, dtype=np.float64)
         state.gamma.data = rng.standard_normal(4)
         state.beta.data = rng.standard_normal(4)
-        out = batchnorm(Value(x), state, "train")
+        out = batchnorm(Value(nhwc(x)), state, "train")
         ref = naive_batchnorm_train(x, state.gamma.data, state.beta.data,
                                     state.epsilon)
-        assert max_rel_error(out.data, ref) < 1e-12
+        assert max_rel_error(nchw(out.data), ref) < 1e-12
 
     def test_eval_mode_is_affine(self):
         state = BatchNormState.create(2, dtype=np.float64)
         state.gamma.data = np.full(2, 2.0)
         state.beta.data = np.full(2, 3.0)
-        x = Value(np.full((2, 2, 3, 3), 5.0))
+        x = Value(nhwc(np.full((2, 2, 3, 3), 5.0)))
         out = batchnorm(x, state, "eval")
         expected = 2.0 * 5.0 / np.sqrt(1.0 + state.epsilon) + 3.0
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
@@ -313,7 +319,7 @@ class TestBatchNorm:
         state = BatchNormState.create(3, dtype=np.float64)
         state.running_mean = rng.standard_normal(3)
         state.running_var = rng.uniform(0.5, 2.0, 3)
-        batch = rng.standard_normal((6, 3, 4, 4))
+        batch = nhwc(rng.standard_normal((6, 3, 4, 4)))
         joint = batchnorm(Value(batch), state, "eval").data
         for i in range(6):
             alone = batchnorm(Value(batch[i : i + 1]), state, "eval").data
@@ -323,7 +329,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((4, 2, 3, 3))
         state = BatchNormState.create(2, dtype=np.float64)
-        batchnorm(Value(x), state, "train")
+        batchnorm(Value(nhwc(x)), state, "train")
         m = 4 * 3 * 3
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(axis=(0, 2, 3)))
         np.testing.assert_allclose(
@@ -334,12 +340,12 @@ class TestBatchNorm:
     def test_degenerate_batch_rejected(self):
         state = BatchNormState.create(2, dtype=np.float64)
         with pytest.raises(DegenerateBatchError):
-            batchnorm(Value(np.zeros((1, 2, 1, 1))), state, "train")
+            batchnorm(Value(nhwc(np.zeros((1, 2, 1, 1)))), state, "train")
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_finite_differences(self, mode):
         rng = np.random.default_rng(11)
-        x = Value(rng.standard_normal((3, 2, 4, 4)))
+        x = Value(nhwc(rng.standard_normal((3, 2, 4, 4))))
         state = BatchNormState.create(2, dtype=np.float64)
         state.gamma.data = rng.uniform(0.5, 1.5, 2)
         state.beta.data = rng.standard_normal(2)
@@ -398,37 +404,55 @@ class TestActivations:
 
 class TestMaxPool:
     def test_constant_input(self):
-        out = maxpool2x2(Value(np.full((2, 3, 4, 6), 2.5)))
-        assert out.data.shape == (2, 3, 2, 3)
-        np.testing.assert_array_equal(out.data, np.full((2, 3, 2, 3), 2.5))
+        out = nchw(maxpool2x2(Value(nhwc(np.full((2, 3, 4, 6), 2.5)))).data)
+        assert out.shape == (2, 3, 2, 3)
+        np.testing.assert_array_equal(out, np.full((2, 3, 2, 3), 2.5))
 
     def test_single_window(self):
-        out = maxpool2x2(Value(np.array([[[[1.0, 2.0], [3.0, 4.0]]]])))
+        out = maxpool2x2(Value(nhwc(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))))
         assert out.data.shape == (1, 1, 1, 1)
         assert out.data[0, 0, 0, 0] == 4.0
 
     def test_matches_naive_reference(self):
         x = np.random.default_rng(13).standard_normal((2, 3, 6, 8))
-        out = maxpool2x2(Value(x))
-        np.testing.assert_array_equal(out.data, naive_maxpool2x2(x))
+        out = maxpool2x2(Value(nhwc(x)))
+        np.testing.assert_array_equal(nchw(out.data), naive_maxpool2x2(x))
 
     def test_odd_sizes_replicate_pad(self):
         x = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-        out = maxpool2x2(Value(x))
+        out = maxpool2x2(Value(nhwc(x)))
         # windows: [[0,1],[3,4]] -> 4, [[2,2],[5,5]] -> 5, rows/cols replicated
-        np.testing.assert_array_equal(out.data[0, 0], [[4.0, 5.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(nchw(out.data)[0, 0], [[4.0, 5.0], [7.0, 8.0]])
 
     def test_tie_break_routes_to_first_index(self):
-        x = Value(np.full((1, 1, 2, 2), 7.0))
+        x = Value(nhwc(np.full((1, 1, 2, 2), 7.0)))
         tape = Tape()
         out = maxpool2x2(x, tape=tape)
         tape.backward(out, np.ones_like(out.data))
-        np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(nchw(x.grad)[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("h,w", [(4, 6), (5, 4), (3, 7), (1, 1)])
+    def test_backward_routes_to_first_maximal_corner(self, h, w):
+        # values from {0, 1, 2} tie often, in every corner order; odd sides
+        # are replicate-padded, and a padded copy routes to its source
+        rng = np.random.default_rng(10 * h + w)
+        x = rng.integers(0, 3, (2, 3, h, w)).astype(np.float64)
+        g = rng.standard_normal((2, 3, (h + 1) // 2, (w + 1) // 2))
+        xp = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+        want = np.zeros_like(x)
+        for n, c, i, j in np.ndindex(g.shape):
+            di, dj = divmod(int(xp[n, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].argmax()), 2)
+            want[n, c, min(2 * i + di, h - 1), min(2 * j + dj, w - 1)] += g[n, c, i, j]
+        value = Value(nhwc(x))
+        tape = Tape()
+        out = maxpool2x2(value, tape=tape)
+        tape.backward(out, nhwc(g))
+        np.testing.assert_array_equal(nchw(value.grad), want)
 
     def test_finite_differences_distinct_entries(self):
         rng = np.random.default_rng(15)
         base = rng.permutation(16).astype(np.float64).reshape(1, 1, 4, 4)
-        x = Value(base + rng.uniform(0, 0.2, base.shape))
+        x = Value(nhwc(base + rng.uniform(0, 0.2, base.shape)))
 
         def run(analytic=True):
             tape = Tape()
@@ -445,12 +469,12 @@ class TestMaxPool:
 class TestGlobalMaxPool:
     def test_channel_maxima(self):
         x = np.array([[[[5.0, 1.0], [0.0, 2.0]], [[-3.0, -1.0], [-9.0, -4.0]]]])
-        out = global_max_pool(Value(x))
+        out = global_max_pool(Value(nhwc(x)))
         np.testing.assert_array_equal(out.data.reshape(2), [5.0, -1.0])
 
     def test_constant(self):
-        out = global_max_pool(Value(np.full((2, 3, 4, 4), 1.25)))
-        np.testing.assert_array_equal(out.data, np.full((2, 3, 1, 1), 1.25))
+        out = global_max_pool(Value(nhwc(np.full((2, 3, 4, 4), 1.25))))
+        np.testing.assert_array_equal(nchw(out.data), np.full((2, 3, 1, 1), 1.25))
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(16)
@@ -458,42 +482,42 @@ class TestGlobalMaxPool:
         perm = rng.permutation(16)
         shuffled = x.reshape(2, 3, 16)[:, :, perm].reshape(2, 3, 4, 4)
         np.testing.assert_array_equal(
-            global_max_pool(Value(x)).data, global_max_pool(Value(shuffled)).data
+            global_max_pool(Value(nhwc(x))).data, global_max_pool(Value(nhwc(shuffled))).data
         )
 
     def test_backward_routes_to_argmax(self):
-        x = Value(np.array([[[[1.0, 3.0], [2.0, 0.0]]]]))
+        x = Value(nhwc(np.array([[[[1.0, 3.0], [2.0, 0.0]]]])))
         tape = Tape()
         out = global_max_pool(x, tape=tape)
         tape.backward(out, np.full((1, 1, 1, 1), 2.0))
-        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(nchw(x.grad)[0, 0], [[0.0, 2.0], [0.0, 0.0]])
 
 
 class TestChannelPad:
     def test_identity_when_target_equals_channels(self):
-        x = Value(np.ones((1, 3, 2, 2)))
+        x = Value(nhwc(np.ones((1, 3, 2, 2))))
         assert channel_pad(x, 3) is x
 
     def test_pads_with_zeros(self):
-        x = Value(np.random.default_rng(17).standard_normal((2, 3, 4, 4)))
-        out = channel_pad(x, 64)
-        np.testing.assert_array_equal(out.data[:, :3], x.data)
-        assert not out.data[:, 3:].any()
+        x = Value(nhwc(np.random.default_rng(17).standard_normal((2, 3, 4, 4))))
+        out = nchw(channel_pad(x, 64).data)
+        np.testing.assert_array_equal(out[:, :3], nchw(x.data))
+        assert not out[:, 3:].any()
 
     def test_backward_is_projection(self):
-        x = Value(np.ones((1, 3, 2, 2)))
+        x = Value(nhwc(np.ones((1, 3, 2, 2))))
         tape = Tape()
         out = channel_pad(x, 5, tape=tape)
-        seed = np.random.default_rng(18).standard_normal(out.data.shape)
-        tape.backward(out, seed)
-        np.testing.assert_array_equal(x.grad, seed[:, :3])
+        seed = np.random.default_rng(18).standard_normal((1, 5, 2, 2))
+        tape.backward(out, nhwc(seed))
+        np.testing.assert_array_equal(nchw(x.grad), seed[:, :3])
 
     def test_shrinking_rejected(self):
         with pytest.raises(ConfigurationError):
-            channel_pad(Value(np.ones((1, 3, 2, 2))), 2)
+            channel_pad(Value(nhwc(np.ones((1, 3, 2, 2)))), 2)
 
     def test_constant_input_records_nothing(self):
-        x = Value(np.ones((1, 3, 2, 2)), needs_grad=False)
+        x = Value(nhwc(np.ones((1, 3, 2, 2))), needs_grad=False)
         tape = Tape()
         out = channel_pad(x, 5, tape=tape)
         assert len(tape) == 0 and not out.needs_grad
@@ -664,7 +688,7 @@ class TestTape:
         np.testing.assert_array_equal(coeffs.grad, [[12.0, 12.0]])
 
     def test_unused_branches_contribute_nothing(self):
-        x = Value(np.ones((1, 2, 4, 4)))
+        x = Value(nhwc(np.ones((1, 2, 4, 4))))
         tape = Tape()
         kept = relu(x, tape=tape)
         _dead_end = maxpool2x2(kept, tape=tape)  # never reaches the loss
@@ -681,7 +705,7 @@ SWEEP_SEEDS = range(20)
 def test_every_primitive_gradient_sweep(seed):
     """All primitives pass central-difference checks across random seeds."""
     rng = np.random.default_rng(1000 + seed)
-    x = Value(rng.standard_normal((2, 4, 6, 6)))
+    x = Value(nhwc(rng.standard_normal((2, 4, 6, 6))))
     # init-scale weights: O(1) draws saturate tanh and the softmax, leaving
     # a flat loss whose true gradients sit at the finite-difference noise floor
     w = Value(0.3 * rng.standard_normal((4, 4, 3, 3)))

@@ -2,11 +2,12 @@
 
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thriftynet.errors import CheckpointError, ConfigurationError, NumericalError
+from thriftynet.errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.model import ThriftyConfig, ThriftyNet
 from thriftynet.planner import make_schedule
@@ -179,6 +180,12 @@ class TestEvaluate:
         acc = evaluate(model, test_ds)
         assert 0.0 <= acc <= 35.0  # untrained: near chance on 10 classes
 
+    def test_empty_split_rejected(self, tiny_pair):
+        _, test_ds = tiny_pair
+        empty = replace(test_ds, images=test_ds.images[:0], labels=test_ds.labels[:0])
+        with pytest.raises(DataError):
+            evaluate(ThriftyNet(tiny_model_config(), seed=6), empty)
+
 
 class TestTrainLoop:
     def test_identical_seeds_identical_logs(self, tiny_pair, tmp_path):
@@ -207,6 +214,19 @@ class TestTrainLoop:
             num_classes=7, input_channels=3), seed=0)
         with pytest.raises(ConfigurationError):
             train(model, train_ds, test_ds, tiny_train_config())
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_rejected_before_the_first_epoch(self, tiny_pair, tmp_path, split):
+        pair = dict(zip(("train", "test"), tiny_pair))
+        ds = pair[split]
+        pair[split] = replace(ds, images=ds.images[:0], labels=ds.labels[:0])
+        model = ThriftyNet(tiny_model_config(), seed=0)
+        before = [a.copy() for a in model.state_arrays()]
+        with pytest.raises(DataError):
+            train(model, pair["train"], pair["test"], tiny_train_config(), out_dir=tmp_path)
+        assert not (tmp_path / "last.ckpt").exists()
+        for a, b in zip(model.state_arrays(), before):
+            np.testing.assert_array_equal(a, b)
 
     def test_divergence_aborts_keeping_checkpoint(self, tiny_pair, tmp_path):
         from thriftynet.data import ImageDataset
