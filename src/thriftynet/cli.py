@@ -48,25 +48,30 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _number(kind, key: str, raw: str):
+    """kind(raw) for kind int or float; a malformed value is a
+    ConfigurationError naming the key and the value."""
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _coerce(raw: str, like):
+def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
+    return tuple(_number(int, key, tok) for tok in text.replace(",", " ").split())
+
+
+def _coerce(key: str, raw: str, like):
     if isinstance(like, bool):
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ConfigurationError(f"expected a boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
+        raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
+    if isinstance(like, (int, float)):
+        return _number(type(like), key, raw)
     return raw
 
 
@@ -100,7 +105,7 @@ class RunSpec:
             if cli_value is not None:
                 self.resolved[key] = cli_value
             elif key in self.file_values:
-                self.resolved[key] = _coerce(self.file_values[key], default)
+                self.resolved[key] = _coerce(key, self.file_values[key], default)
             else:
                 self.resolved[key] = default
         unknown = set(self.file_values) - set(defaults)
@@ -184,7 +189,7 @@ def _build_schedule(spec) -> tuple[int, ...]:
     if text in ("regular", "front_loaded"):
         return planner.make_schedule(spec.iterations, spec.pools, text)
     return planner.make_schedule(spec.iterations, placement="explicit",
-                                 explicit=_parse_int_list(text))
+                                 explicit=_parse_int_list("schedule", text))
 
 
 def _class_count(spec) -> int:
@@ -259,7 +264,7 @@ def _train_config(spec) -> TrainConfig:
     return TrainConfig(
         epochs=spec.epochs,
         lr0=spec.lr,
-        lr_drops=_parse_int_list(spec.lr_drops),
+        lr_drops=_parse_int_list("lr_drops", spec.lr_drops),
         momentum=spec.momentum,
         weight_decay=spec.weight_decay,
         batch_size=spec.batch_size,
@@ -340,8 +345,9 @@ def cmd_count(args) -> int:
 def cmd_plan(args) -> int:
     spec = RunSpec(args, {**ARCH_DEFAULTS, "input_size": 32, "classes": 10,
                           "iterations_list": "", "pools_list": ""})
-    iteration_values = _parse_int_list(spec.iterations_list) or (spec.iterations,)
-    pool_values = _parse_int_list(spec.pools_list) or (spec.pools,)
+    iteration_values = (_parse_int_list("iterations_list", spec.iterations_list)
+                        or (spec.iterations,))
+    pool_values = _parse_int_list("pools_list", spec.pools_list) or (spec.pools,)
     rows = []
     for iterations in iteration_values:
         for pools in pool_values:
@@ -436,7 +442,7 @@ def cmd_sweep(args) -> int:
         for key, value in entry.items():
             if key not in merged:
                 raise ConfigurationError(f"unknown manifest key {key!r}")
-            merged[key] = _coerce(value, merged[key])
+            merged[key] = _coerce(key, value, merged[key])
         entry_spec = argparse.Namespace(**merged)
         configs.append(_build_model_config(entry_spec, train_ds.class_count))
     out_dir = _prepare_out(spec, args.out)

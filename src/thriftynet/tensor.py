@@ -10,7 +10,11 @@ model transposes its input image once, and conv weights keep the shape
 (f_out, f_in, a, b).  Every primitive comes as a forward plus an analytic
 backward; recording ops on a Tape while running forward and replaying the
 records in reverse accumulates gradients into every `Value` that
-contributed, parameters included.
+contributed, parameters included.  A record keeps only what its backward
+reads: the gradient slots of its inputs, not the inputs, and no patch
+matrix.  The classical conv gathers its im2col patch matrix as a transient
+in the forward, and its backward takes the weight gradient from the patch
+matrix of g that it gathers for the input gradient anyway.
 
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
@@ -61,20 +65,42 @@ def _keep_freed_blocks_in_heap() -> None:
 _keep_freed_blocks_in_heap()
 
 
+class _GradSlot:
+    """The accumulated gradient of one Value, held apart from its data."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self) -> None:
+        self.grad: Array | None = None
+
+
 class Value:
     """An array in the computation together with its accumulated gradient.
+
+    The gradient lives in a small slot of its own, `slot`, and `grad` reads
+    and writes it.  Backward closures capture the slots of their inputs, not
+    the inputs themselves, so an activation that no backward reads is freed
+    as soon as the forward drops it.
 
     A Value made with `needs_grad=False` is a constant, the model's input
     image: `channel_pad` and `maxpool2x2` of it record nothing and return a
     constant, and `conv2d` and `add_scaled` compute no gradient for it.
     """
 
-    __slots__ = ("data", "grad", "needs_grad")
+    __slots__ = ("data", "slot", "needs_grad")
 
     def __init__(self, data: Array, needs_grad: bool = True):
         self.data = np.ascontiguousarray(data)
-        self.grad: Array | None = None
+        self.slot = _GradSlot()
         self.needs_grad = needs_grad
+
+    @property
+    def grad(self) -> Array | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: Array | None) -> None:
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,13 +110,13 @@ class Value:
         return f"Value(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def _accumulate(v: Value, g: Array, owned: bool = False) -> None:
+def _accumulate(slot: _GradSlot, g: Array, owned: bool = False) -> None:
     # Copy on first write unless the closure vouches that `g` is freshly
     # allocated: a shared array may alias another consumer's gradient buffer.
-    if v.grad is None:
-        v.grad = g if owned else np.array(g, copy=True)
+    if slot.grad is None:
+        slot.grad = g if owned else np.array(g, copy=True)
     else:
-        v.grad += g
+        slot.grad += g
 
 
 class Tape:
@@ -98,20 +124,22 @@ class Tape:
 
     Ops are appended in execution order, which is topological by
     construction; replaying the backward closures in reverse order therefore
-    visits every consumer of a Value before its producer.  A tape supports
-    exactly one backward traversal and must not be shared between concurrent
-    forward passes.
+    visits every consumer of a Value before its producer.  A record holds the
+    gradient slot of its output, not the output.  A tape supports exactly
+    one backward, which consumes the records: each is popped and run, then
+    its closure, the arrays the closure saved and its output's gradient are
+    dropped.  A tape must not be shared between concurrent forward passes.
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[Value, Callable[[Array], None]]] = []
+        self._records: list[tuple[_GradSlot, Callable[[Array], None]]] = []
         self._consumed = False
 
     def __len__(self) -> int:
         return len(self._records)
 
     def record(self, out: Value, backward: Callable[[Array], None]) -> None:
-        self._records.append((out, backward))
+        self._records.append((out.slot, backward))
 
     def backward(self, out: Value, seed_grad: Array) -> None:
         """Seed d(loss)/d(out) and propagate to everything on the tape."""
@@ -123,10 +151,13 @@ class Tape:
             raise ConfigurationError(
                 f"seed gradient shape {seed.shape} != output shape {out.data.shape}"
             )
-        _accumulate(out, seed)
-        for value, backward_fn in reversed(self._records):
-            if value.grad is not None:
-                backward_fn(value.grad)
+        _accumulate(out.slot, seed)
+        records = self._records
+        while records:
+            slot, backward_fn = records.pop()
+            grad, slot.grad = slot.grad, None
+            if grad is not None:
+                backward_fn(grad)
 
 
 class MacTally:
@@ -278,18 +309,17 @@ def _kernel_matrix(w: Array) -> Array:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(a * b * c, f_out))
 
 
-_UNTAPED_CHUNK = 128  # images per patch matrix when no backward needs it
+_CONV_CHUNK = 128  # images per patch matrix
 
 
-def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | None,
-                           keep: bool) -> tuple[Array, Array | None]:
+def _conv2d_forward_single(x: Array, w: Array, padding: int,
+                           tally: MacTally | None) -> Array:
     """groups=1 convolution, stride 1.  An input with C < f_in channels is
     read as if zero-padded to f_in: only w[:, :C] multiplies, so the patch
     matrix is a*b*C wide, but the tally counts the nominal f_in*a*b MACs per
-    output.  With `keep` the whole batch goes through one patch matrix, which
-    is returned so a taped backward can skip regathering it; without, the
-    batch runs in chunks of _UNTAPED_CHUNK images, so a large eval batch
-    never holds its full patch matrix."""
+    output.  The batch runs in chunks of _CONV_CHUNK images, each through a
+    patch matrix that is freed before the next is gathered; the backward
+    keeps none of them."""
     n, h, width, c = x.shape
     f_out, f_in, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
@@ -298,35 +328,27 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int, tally: MacTally | N
     w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
         # pointwise: a plain channel-mixing matmul
-        return (x.reshape(-1, c) @ w[:, :, 0, 0].T).reshape(n, h, width, f_out), None
+        return (x.reshape(-1, c) @ w[:, :, 0, 0].T).reshape(n, h, width, f_out)
     wmat = _kernel_matrix(w)
     out = np.empty((n, ho, wo, f_out), dtype=x.dtype)
-    if keep:
-        return out, _gemm_conv_into(out, x, wmat, padding, a, b)
-    for start in range(0, n, _UNTAPED_CHUNK):
-        _gemm_conv_into(out[start : start + _UNTAPED_CHUNK], x[start : start + _UNTAPED_CHUNK],
-                        wmat, padding, a, b)
-    return out, None
-
-
-def _gemm_conv_into(out: Array, x: Array, wmat: Array, padding: int, a: int, b: int) -> Array:
-    """Convolve x into `out` (N,Ho,Wo,f_out), whose rows are the GEMM's
-    output rows; returns the patch matrix, which a caller that drops it
-    frees before the next chunk."""
-    cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-    np.matmul(cols, wmat, out=out.reshape(-1, out.shape[3]))
-    return cols
+    for start in range(0, n, _CONV_CHUNK):
+        chunk = slice(start, start + _CONV_CHUNK)
+        np.matmul(_gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b), wmat,
+                  out=out[chunk].reshape(-1, f_out))
+    return out
 
 
 def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
-                            cols: Array | None = None,
                             need_x: bool = True) -> tuple[Array | None, Array]:
-    """grad_w = cols.T @ g; for an input with C < f_in channels the weights
-    past channel C get an exactly zero gradient.  grad_x (None unless
-    `need_x`) is the full correlation of g with the flipped kernel, its
-    in/out axes swapped: g is padded by a-1-p rows and b-1-p columns (cropped
-    instead where padding > a-1 or > b-1), then goes through the forward's
-    gather and one GEMM."""
+    """grad_x (None unless `need_x`) is the full correlation of g with the
+    flipped kernel, its in/out axes swapped: g is padded by a-1-p rows and
+    b-1-p columns (cropped instead where padding > a-1 or > b-1), then goes
+    through the forward's gather and one GEMM.  That patch matrix also gives
+    grad_w: gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1-p), w+j-(b-1-p), o], so
+    x.T @ gcols holds kernel tap (i, j) at (a-1-i, b-1-j).  A constant input
+    has no gcols, so its grad_w = cols.T @ g re-gathers the patches of x,
+    narrow for the image.  For an input with C < f_in channels the weights
+    past channel C get an exactly zero gradient."""
     n, h, width, c = x.shape
     f_out, _, a, b = w.shape
     g2d = g.reshape(-1, f_out)
@@ -337,18 +359,19 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
         if not need_x:
             return None, grad_w
         return (g2d @ w[:, :, 0, 0]).reshape(n, h, width, c), grad_w
-    if cols is None:
-        cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-    grad_w[:, :c] = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
     if not need_x:
+        cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
+        grad_w[:, :c] = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
         return None, grad_w
     gcols = _gather_cols(_pad_nhwc(g, a - 1 - padding, b - 1 - padding), a, b)
+    flipped = (x.reshape(-1, c).T @ gcols).reshape(c, a, b, f_out)[:, ::-1, ::-1]
+    grad_w[:, :c] = flipped.transpose(3, 0, 1, 2)
     grad_x = gcols @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return grad_x.reshape(n, h, width, c), grad_w
 
 
-def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally | None,
-                              keep: bool) -> tuple[Array, None]:
+def _conv2d_forward_depthwise(x: Array, w: Array, padding: int,
+                              tally: MacTally | None) -> Array:
     n, h, width, c = x.shape
     _, _, a, b = w.shape
     xp = _pad_nhwc(x, padding, padding)
@@ -359,11 +382,10 @@ def _conv2d_forward_depthwise(x: Array, w: Array, padding: int, tally: MacTally 
     for i in range(a):
         for j in range(b):
             out += xp[:, i : i + ho, j : j + wo] * w[:, 0, i, j]
-    return out, None
+    return out
 
 
 def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
-                               _saved: None = None,
                                need_x: bool = True) -> tuple[Array | None, Array]:
     n, h, width, c = x.shape
     _, _, a, b = w.shape
@@ -401,7 +423,7 @@ def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0,
     """Non-taped convolution, stride 1, zero padding; with groups=1, x may
     have fewer channels than w, the missing ones read as zeros."""
     forward, _ = _conv_kernels(w, groups)
-    return forward(x, w, padding, tally, False)[0]
+    return forward(x, w, padding, tally)
 
 
 def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
@@ -415,7 +437,7 @@ def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
         raise ConfigurationError(
             f"grad_out shape {grad_out.shape} does not match forward output {expected}"
         )
-    return backward(grad_out, x, w, padding, None)
+    return backward(grad_out, x, w, padding)
 
 
 def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
@@ -442,16 +464,15 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
         )
     x_data, w = x.data, kernel.weights
     forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
-    out_data, saved = forward(x_data, w.data, padding, tally, tape is not None)
-    out = Value(out_data)
+    out = Value(forward(x_data, w.data, padding, tally))
     if tape is not None:
-        need_x = x.needs_grad
+        need_x, x_slot = x.needs_grad, x.slot
 
         def backward(g: Array) -> None:
-            gx, gw = backward_kernel(g, x_data, w.data, padding, saved, need_x)
+            gx, gw = backward_kernel(g, x_data, w.data, padding, need_x)
             if need_x:
-                _accumulate(x, gx, owned=True)
-            _accumulate(w, gw, owned=True)
+                _accumulate(x_slot, gx, owned=True)
+            _accumulate(w.slot, gw, owned=True)
 
         tape.record(out, backward)
     return out
@@ -548,12 +569,13 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
         state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
         state.running_var[:] = (1.0 - rho) * state.running_var + rho * var * (m / (m - 1))
         if tape is not None:
+            x_slot = x.slot
 
             def backward(g: Array) -> None:
                 gx, ggamma, gbeta = _bn_train_backward(g, xhat, inv_std, gamma.data, m)
-                _accumulate(x, gx, owned=True)
-                _accumulate(gamma, ggamma, owned=True)
-                _accumulate(beta, gbeta, owned=True)
+                _accumulate(x_slot, gx, owned=True)
+                _accumulate(gamma.slot, ggamma, owned=True)
+                _accumulate(beta.slot, gbeta, owned=True)
 
             tape.record(out, backward)
         return out
@@ -564,12 +586,12 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
     out_data += beta.data - state.running_mean * scale
     out = Value(out_data)
     if tape is not None:
-        x_data, mean = x.data, state.running_mean.copy()
+        x_data, x_slot, mean = x.data, x.slot, state.running_mean.copy()
 
         def backward(g: Array) -> None:
-            _accumulate(x, g * scale, owned=True)
-            _accumulate(gamma, _channel_dot(g, (x_data - mean) * inv_std), owned=True)
-            _accumulate(beta, _channel_sum(g), owned=True)
+            _accumulate(x_slot, g * scale, owned=True)
+            _accumulate(gamma.slot, _channel_dot(g, (x_data - mean) * inv_std), owned=True)
+            _accumulate(beta.slot, _channel_sum(g), owned=True)
 
         tape.record(out, backward)
     return out
@@ -583,10 +605,10 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
 def relu(x: Value, *, tape: Tape | None = None) -> Value:
     out = Value(np.maximum(x.data, 0))
     if tape is not None:
-        mask = out.data > 0  # subgradient 0 at exactly 0
+        mask, x_slot = out.data > 0, x.slot  # subgradient 0 at exactly 0
 
         def backward(g: Array) -> None:
-            _accumulate(x, g * mask, owned=True)
+            _accumulate(x_slot, g * mask, owned=True)
 
         tape.record(out, backward)
     return out
@@ -595,10 +617,10 @@ def relu(x: Value, *, tape: Tape | None = None) -> Value:
 def tanh_act(x: Value, *, tape: Tape | None = None) -> Value:
     out = Value(np.tanh(x.data))
     if tape is not None:
-        saved = out.data
+        saved, x_slot = out.data, x.slot
 
         def backward(g: Array) -> None:
-            _accumulate(x, g * (1.0 - saved * saved), owned=True)
+            _accumulate(x_slot, g * (1.0 - saved * saved), owned=True)
 
         tape.record(out, backward)
     return out
@@ -648,6 +670,7 @@ def maxpool2x2(x: Value, *, tape: Tape | None = None) -> Value:
     if tape is not None and x.needs_grad:
         winner = _pool_winner(*corners, top, bottom)
         hp, wp = xp.shape[1:3]
+        x_slot = x.slot
 
         def backward(g: Array) -> None:
             gxp = np.empty((n, hp, wp, c), dtype=g.dtype)
@@ -659,7 +682,7 @@ def maxpool2x2(x: Value, *, tape: Tape | None = None) -> Value:
                 gxp[:, h - 1] += gxp[:, h]
             if pad_w:
                 gxp[:, :, w - 1] += gxp[:, :, w]
-            _accumulate(x, gxp[:, :h, :w], owned=True)  # view into fresh gxp
+            _accumulate(x_slot, gxp[:, :h, :w], owned=True)  # view into fresh gxp
 
         tape.record(out, backward)
     return out
@@ -673,11 +696,12 @@ def global_max_pool(x: Value, *, tape: Tape | None = None) -> Value:
     idx = flat.argmax(axis=1)[:, None]
     out = Value(np.take_along_axis(flat, idx, axis=1).reshape(n, 1, 1, c))
     if tape is not None:
+        x_slot = x.slot
 
         def backward(g: Array) -> None:
             scattered = np.zeros((n, h * w, c), dtype=g.dtype)
             np.put_along_axis(scattered, idx, g.reshape(n, 1, c), axis=1)
-            _accumulate(x, scattered.reshape(n, h, w, c), owned=True)
+            _accumulate(x_slot, scattered.reshape(n, h, w, c), owned=True)
 
         tape.record(out, backward)
     return out
@@ -697,9 +721,10 @@ def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> 
     padded[..., :c] = x.data
     out = Value(padded, needs_grad=x.needs_grad)
     if tape is not None and x.needs_grad:
+        x_slot = x.slot
 
         def backward(g: Array) -> None:
-            _accumulate(x, g[..., :c])
+            _accumulate(x_slot, g[..., :c])
 
         tape.record(out, backward)
     return out
@@ -708,10 +733,10 @@ def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> 
 def reshape(x: Value, shape: tuple[int, ...], *, tape: Tape | None = None) -> Value:
     out = Value(x.data.reshape(shape))
     if tape is not None:
-        orig = x.data.shape
+        orig, x_slot = x.data.shape, x.slot
 
         def backward(g: Array) -> None:
-            _accumulate(x, g.reshape(orig))
+            _accumulate(x_slot, g.reshape(orig))
 
         tape.record(out, backward)
     return out
@@ -750,16 +775,20 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
         out_data += lag.data * scale
     out = Value(out_data)
     if tape is not None:
+        base_slot = base.slot
+        lag_slots = [lag.slot if lag.needs_grad else None for lag in lags]
+        lag_data = [lag.data for lag in lags] if trained else []
 
         def backward(g: Array) -> None:
-            _accumulate(base, g)
-            if trained and coeffs.grad is None:
-                coeffs.grad = np.zeros_like(coeffs.data)
-            for i, (lag, scale) in enumerate(zip(lags, scales)):
-                if lag.needs_grad:
-                    _accumulate(lag, scale * g, owned=True)
-                if trained:
-                    coeffs.grad[t, i] += _dot(g, lag.data)
+            _accumulate(base_slot, g)
+            for slot, scale in zip(lag_slots, scales):
+                if slot is not None:
+                    _accumulate(slot, scale * g, owned=True)
+            if trained:
+                if coeffs.grad is None:
+                    coeffs.grad = np.zeros_like(coeffs.data)
+                for i, lag in enumerate(lag_data):
+                    coeffs.grad[t, i] += _dot(g, lag)
 
         tape.record(out, backward)
     return out
@@ -792,13 +821,13 @@ def linear(x: Value, weights: Value, bias: Value, *, tape: Tape | None = None,
         tally.add(n * f * weights.data.shape[1])
     out = Value(x.data @ weights.data + bias.data)
     if tape is not None:
-        x_data = x.data
+        x_data, x_slot = x.data, x.slot
 
         def backward(g: Array) -> None:
             gx, gw, gb = _linear_backward(g, x_data, weights.data)
-            _accumulate(x, gx, owned=True)
-            _accumulate(weights, gw, owned=True)
-            _accumulate(bias, gb, owned=True)
+            _accumulate(x_slot, gx, owned=True)
+            _accumulate(weights.slot, gw, owned=True)
+            _accumulate(bias.slot, gb, owned=True)
 
         tape.record(out, backward)
     return out

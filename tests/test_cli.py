@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: flags, config files, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import thriftynet
 import thriftynet.tensor
 from thriftynet.cli import main
 from thriftynet.metrics import read_csv, read_metric_log
@@ -159,6 +165,62 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--config", str(config),
                          "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+class TestMalformedNumbers:
+    """A number that does not parse is a ConfigurationError naming the key
+    and the value (exit 2), wherever it comes from."""
+
+    def test_config_file_value(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("iterations = abc\n")
+        code, _, err = run(capsys, "count", "--config", str(config))
+        assert code == 2
+        assert "iterations" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("argv,key", [
+        (("plan", "--iterations-list", "10,x"), "iterations_list"),
+        (("plan", "--pools-list", "1 2.5"), "pools_list"),
+        (("count", "--iterations", "3", "--schedule", "1,x,1"), "schedule"),
+    ])
+    def test_integer_list_flags(self, capsys, argv, key):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert key in err
+
+    def test_lr_drops(self, capsys, raw_dataset_files, tmp_path):
+        argv = train_args(raw_dataset_files, tmp_path / "run")
+        argv[argv.index("--lr-drops") + 1] = "5,x"
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "lr_drops" in err and "'x'" in err
+
+    def test_sweep_manifest_value(self, capsys, raw_dataset_files, tmp_path):
+        train_path, test_path = raw_dataset_files
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=abc iterations=3\n")
+        code, _, err = run(
+            capsys, "sweep", "--manifest", str(manifest), "--dataset", "raw",
+            "--raw-train", str(train_path), "--raw-test", str(test_path),
+            "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 2
+        assert "filters" in err and "'abc'" in err
+
+    def test_module_entry_point_exits_2(self, tmp_path):
+        # `python -m thriftynet` runs from a source checkout, and the exit
+        # code reaches the process, not only main()'s return value
+        config = tmp_path / "bad.cfg"
+        config.write_text("iterations = abc\n")
+        src = str(Path(thriftynet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "thriftynet", "count", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "iterations" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestEval:

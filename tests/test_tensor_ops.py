@@ -1,6 +1,7 @@
 """Forward oracles and gradient checks for every primitive."""
 
 import ctypes
+import weakref
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestConv2d:
     def test_untaped_chunks_match_per_image_runs(self):
         # a batch one full chunk plus a 5-image tail: every image lands in its
         # own slot, and the MACs are counted once for the whole batch
-        n = tensor._UNTAPED_CHUNK + 5
+        n = tensor._CONV_CHUNK + 5
         rng = np.random.default_rng(12)
         x = rng.standard_normal((n, 2, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3))
@@ -121,6 +122,8 @@ class TestConv2d:
         per_image = np.concatenate([conv2d_raw(nhwc(x[i : i + 1]), w, padding=1)
                                     for i in range(n)])
         assert out.tobytes() == per_image.tobytes()
+        taped = conv2d(Value(nhwc(x)), ConvKernel(Value(w)), padding=1, tape=Tape())
+        assert taped.data.tobytes() == out.tobytes()  # one chunked path, taped or not
         assert max_rel_error(nchw(out), naive_conv2d(x, w, padding=1)) < 1e-10
         assert tally.total == n * 3 * 4 * 4 * 2 * 3 * 3
 
@@ -166,7 +169,7 @@ class TestNarrowConv:
     def test_tallies_nominal_macs(self):
         x, _, w, _ = self.case(3, 3, 1)
         x = nhwc(x)
-        for keep in (False, True):  # untaped chunks, and the taped whole batch
+        for keep in (False, True):  # untaped and taped
             tally = MacTally()
             if keep:
                 conv2d(Value(x), ConvKernel(Value(w)), padding=1, tape=Tape(), tally=tally)
@@ -666,8 +669,27 @@ class TestTape:
         tape = Tape()
         out = relu(x, tape=tape)
         tape.backward(out, np.ones_like(out.data))
+        assert len(tape) == 0  # the backward consumed every record
         with pytest.raises(ConfigurationError):
             tape.backward(out, np.ones_like(out.data))
+
+    def test_records_hold_no_unread_activation(self):
+        # relu's backward reads only its mask, so the conv output it was fed
+        # dies with the caller's last reference, before any backward runs
+        rng = np.random.default_rng(21)
+        x_nchw, w = rng.standard_normal((2, 3, 5, 6)), rng.standard_normal((4, 3, 3, 3))
+        x, weights = Value(nhwc(x_nchw)), Value(w)
+        tape = Tape()
+        mid = conv2d(x, ConvKernel(weights), tape=tape)
+        probe, active = weakref.ref(mid.data), nchw(mid.data) > 0
+        out = relu(mid, tape=tape)
+        del mid
+        assert probe() is None
+        seed = rng.standard_normal(out.shape)
+        tape.backward(out, seed)
+        want_x, want_w = naive_conv2d_backward(nchw(seed) * active, x_nchw, w, padding=1)
+        np.testing.assert_allclose(nchw(x.grad), want_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
 
     def test_seed_shape_checked(self):
         x = Value(np.ones((1, 1, 2, 2)))
