@@ -92,15 +92,28 @@ def read_cifar_records(path, record_bytes: int,
 def _decode_pixels(pixel_bytes: np.ndarray) -> np.ndarray:
     # byte layout per record: channel-planar, pixel (c,h,w) at c*1024 + h*32 + w
     n = pixel_bytes.shape[0]
-    return pixel_bytes.reshape(n, 3, 32, 32).astype(np.float32) / 255.0
+    images = pixel_bytes.reshape(n, 3, 32, 32).astype(np.float32)
+    images /= 255.0
+    return images
 
 
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train.mean(axis=(0, 2, 3), dtype=np.float64)
-    std = train.std(axis=(0, 2, 3), dtype=np.float64)
-    mean32 = mean.astype(np.float32).reshape(1, 3, 1, 1)
-    std32 = std.astype(np.float32).reshape(1, 3, 1, 1)
-    return (train - mean32) / std32, (test - mean32) / std32
+_STATS_CHUNK = 1000  # images per float64 slice of the train statistics
+
+
+def _standardize(train: np.ndarray, test: np.ndarray) -> None:
+    """Standardize both splits in place with the train split's per-channel
+    mean and (biased) std.  Both are reduced in float64, one slice of
+    _STATS_CHUNK images at a time, so no float64 copy of the split exists."""
+    m = train.size // 3
+    slices = [train[i : i + _STATS_CHUNK] for i in range(0, len(train), _STATS_CHUNK)]
+    mean = (sum(part.sum(axis=(0, 2, 3), dtype=np.float64) for part in slices) / m
+            ).reshape(1, 3, 1, 1)
+    var = sum(np.square(part - mean).sum(axis=(0, 2, 3)) for part in slices) / m
+    mean32 = mean.astype(np.float32)
+    std32 = np.sqrt(var).astype(np.float32).reshape(1, 3, 1, 1)
+    for images in (train, test):
+        images -= mean32
+        images /= std32
 
 
 def load_cifar10(directory) -> tuple[ImageDataset, ImageDataset]:
@@ -115,7 +128,7 @@ def load_cifar10(directory) -> tuple[ImageDataset, ImageDataset]:
     )
     train_images = _decode_pixels(np.concatenate(train_pixels))
     test_images = _decode_pixels(test_pixels)
-    train_images, test_images = _standardize(train_images, test_images)
+    _standardize(train_images, test_images)
     train = ImageDataset(train_images, np.concatenate(train_labels).astype(np.int64),
                          "train", 10)
     test = ImageDataset(test_images, test_labels[:, 0].astype(np.int64), "test", 10)
@@ -132,7 +145,7 @@ def load_cifar100(directory) -> tuple[ImageDataset, ImageDataset]:
     )
     train_images = _decode_pixels(train_pixels)
     test_images = _decode_pixels(test_pixels)
-    train_images, test_images = _standardize(train_images, test_images)
+    _standardize(train_images, test_images)
     # byte 0 is the coarse label, byte 1 the fine label; classification uses fine
     train = ImageDataset(train_images, train_labels[:, 1].astype(np.int64), "train", 100)
     test = ImageDataset(test_images, test_labels[:, 1].astype(np.int64), "test", 100)

@@ -13,8 +13,10 @@ records in reverse accumulates gradients into every `Value` that
 contributed, parameters included.  A record keeps only what its backward
 reads: the gradient slots of its inputs, not the inputs, and no patch
 matrix.  The classical conv gathers its im2col patch matrix as a transient
-in the forward, and its backward takes the weight gradient from the patch
-matrix of g that it gathers for the input gradient anyway.
+in the forward, a few whole images (about 8 MiB of patches) at a time, so
+that its GEMM reads the patches back from cache, not from DRAM; its
+backward works through g in the same chunks, and takes the weight gradient
+from the patch matrix of g that it gathers for the input gradient anyway.
 
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
@@ -25,18 +27,18 @@ for the same few large shapes over and over.  glibc serves every block above
 its mmap threshold (by default at most 32 MiB) with a fresh mapping and
 unmaps it on free.  At paper scale a 128x64x32x32 float32 activation is
 32 MiB of data (33.5 MB), just above that cap once malloc adds its header,
-and a patch matrix is 302 MB, so each of them would be zero-filled page by
-page again on every use.  Importing this module therefore tells glibc, once,
-to serve blocks up to 2 GiB from its heap and never to trim the heap top, so
-a freed array is reused by the next request of its size.  Where `mallopt` is
-missing or refuses, nothing changes.
+so each one would be zero-filled page by page again on every use.
+Importing this module therefore tells glibc, once, to serve blocks up to
+2 GiB from its heap and never to trim the heap top, so a freed array is
+reused by the next request of its size.  Where `mallopt` is missing or
+refuses, nothing changes.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -309,7 +311,15 @@ def _kernel_matrix(w: Array) -> Array:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0).reshape(a * b * c, f_out))
 
 
-_CONV_CHUNK = 128  # images per patch matrix
+_PATCH_BYTES = 8 << 20  # per im2col patch matrix: the fastest of a 1-32 MiB sweep
+
+
+def _image_chunks(n: int, image_bytes: int) -> Iterator[slice]:
+    """Slices of a batch of n images, each as many whole images (at least
+    one) as keep a patch matrix of `image_bytes` per image within
+    _PATCH_BYTES, so that the GEMM reads its patches back from cache."""
+    step = max(1, _PATCH_BYTES // image_bytes)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def _conv2d_forward_single(x: Array, w: Array, padding: int,
@@ -317,9 +327,9 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int,
     """groups=1 convolution, stride 1.  An input with C < f_in channels is
     read as if zero-padded to f_in: only w[:, :C] multiplies, so the patch
     matrix is a*b*C wide, but the tally counts the nominal f_in*a*b MACs per
-    output.  The batch runs in chunks of _CONV_CHUNK images, each through a
-    patch matrix that is freed before the next is gathered; the backward
-    keeps none of them."""
+    output.  The batch runs in _image_chunks, each through a patch matrix
+    that is freed before the next is gathered; the backward keeps none of
+    them."""
     n, h, width, c = x.shape
     f_out, f_in, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
@@ -331,8 +341,7 @@ def _conv2d_forward_single(x: Array, w: Array, padding: int,
         return (x.reshape(-1, c) @ w[:, :, 0, 0].T).reshape(n, h, width, f_out)
     wmat = _kernel_matrix(w)
     out = np.empty((n, ho, wo, f_out), dtype=x.dtype)
-    for start in range(0, n, _CONV_CHUNK):
-        chunk = slice(start, start + _CONV_CHUNK)
+    for chunk in _image_chunks(n, ho * wo * wmat.shape[0] * x.itemsize):
         np.matmul(_gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b), wmat,
                   out=out[chunk].reshape(-1, f_out))
     return out
@@ -343,31 +352,40 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     """grad_x (None unless `need_x`) is the full correlation of g with the
     flipped kernel, its in/out axes swapped: g is padded by a-1-p rows and
     b-1-p columns (cropped instead where padding > a-1 or > b-1), then goes
-    through the forward's gather and one GEMM.  That patch matrix also gives
-    grad_w: gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1-p), w+j-(b-1-p), o], so
-    x.T @ gcols holds kernel tap (i, j) at (a-1-i, b-1-j).  A constant input
-    has no gcols, so its grad_w = cols.T @ g re-gathers the patches of x,
-    narrow for the image.  For an input with C < f_in channels the weights
-    past channel C get an exactly zero gradient."""
+    through the forward's gather and a GEMM, one _image_chunks slice of g
+    at a time.  That patch matrix also gives grad_w:
+    gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1-p), w+j-(b-1-p), o], so the sum
+    over chunks of x.T @ gcols holds kernel tap (i, j) at (a-1-i, b-1-j),
+    flipped back once at the end.  A constant input has no gcols, so its
+    grad_w sums cols.T @ g over chunks of re-gathered patches of x, narrow
+    for the image.  For an input with C < f_in channels the weights past
+    channel C get an exactly zero gradient."""
     n, h, width, c = x.shape
     f_out, _, a, b = w.shape
-    g2d = g.reshape(-1, f_out)
     grad_w = np.zeros_like(w)
     w = w[:, :c]
     if a == 1 and b == 1 and padding == 0:
+        g2d = g.reshape(-1, f_out)
         grad_w[:, :c, 0, 0] = g2d.T @ x.reshape(-1, c)
         if not need_x:
             return None, grad_w
         return (g2d @ w[:, :, 0, 0]).reshape(n, h, width, c), grad_w
     if not need_x:
-        cols = _gather_cols(_pad_nhwc(x, padding, padding), a, b)
-        grad_w[:, :c] = (cols.T @ g2d).reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
+        acc = np.zeros((a * b * c, f_out), dtype=g.dtype)
+        for chunk in _image_chunks(n, g.shape[1] * g.shape[2] * a * b * c * g.itemsize):
+            cols = _gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b)
+            acc += cols.T @ g[chunk].reshape(-1, f_out)
+        grad_w[:, :c] = acc.reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
         return None, grad_w
-    gcols = _gather_cols(_pad_nhwc(g, a - 1 - padding, b - 1 - padding), a, b)
-    flipped = (x.reshape(-1, c).T @ gcols).reshape(c, a, b, f_out)[:, ::-1, ::-1]
-    grad_w[:, :c] = flipped.transpose(3, 0, 1, 2)
-    grad_x = gcols @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return grad_x.reshape(n, h, width, c), grad_w
+    wflip = _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    grad_x = np.empty((n, h, width, c), dtype=g.dtype)
+    acc = np.zeros((c, a * b * f_out), dtype=g.dtype)
+    for chunk in _image_chunks(n, h * width * wflip.shape[0] * g.itemsize):
+        gcols = _gather_cols(_pad_nhwc(g[chunk], a - 1 - padding, b - 1 - padding), a, b)
+        np.matmul(gcols, wflip, out=grad_x[chunk].reshape(-1, c))
+        acc += x[chunk].reshape(-1, c).T @ gcols
+    grad_w[:, :c] = acc.reshape(c, a, b, f_out)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    return grad_x, grad_w
 
 
 def _conv2d_forward_depthwise(x: Array, w: Array, padding: int,

@@ -1,6 +1,7 @@
 """Byte-exact loaders, standardization, augmentation, batching."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestCifar10Loader:
             (raw_images[0] - mean.reshape(3, 1, 1)) / std.reshape(3, 1, 1),
         )
 
+
+    def test_load_peak_stays_near_the_result(self, cifar10_synth_dir):
+        # 737 MB of float32 images come back; decoding into fresh arrays and
+        # a float64 deviation array of the whole train split peaked at 2151 MB
+        tracemalloc.start()
+        try:
+            load_cifar10(cifar10_synth_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3e9, f"{peak / 1e6:.0f} MB load peak"
 
 class TestCifar100Loader:
     def test_fine_labels_and_counts(self, tmp_path):

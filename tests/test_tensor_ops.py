@@ -49,6 +49,13 @@ def build_loss_scalar(build_loss):
     return scalar
 
 
+# Per-image bit equality of a chunked conv needs its GEMM's rows to round
+# alike whatever the row count: OpenBLAS does not guarantee that for a
+# 3-column product (a 3-column float64 GEMM of 210 rows differs in the last
+# bit from seven of 30 rows), but does for 4 columns.
+_BIT_STABLE_WIDTH = 4
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Value(nhwc(np.ones((1, 1, 3, 3))))
@@ -111,12 +118,18 @@ class TestConv2d:
             kernel(np.zeros((1, 1, 2, 2)))
 
     def test_untaped_chunks_match_per_image_runs(self):
-        # a batch one full chunk plus a 5-image tail: every image lands in its
-        # own slot, and the MACs are counted once for the whole batch
-        n = tensor._CONV_CHUNK + 5
+        # images sized from the patch budget to about three per chunk, and a
+        # batch of two full chunks plus a one-image tail: every image lands
+        # in its own slot, and the MACs are counted once for the whole batch
+        k = 2 * 3 * 3  # patch-matrix width of a 3x3 conv on 2 channels
+        side = int((tensor._PATCH_BYTES / (3 * k * 8)) ** 0.5)
+        per_chunk = tensor._PATCH_BYTES // (side * side * k * 8)
+        assert per_chunk >= 2
+        n = 2 * per_chunk + 1
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((n, 2, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3))
+        x = rng.standard_normal((n, 2, side, side))
+        f_out = _BIT_STABLE_WIDTH
+        w = rng.standard_normal((f_out, 2, 3, 3))
         tally = MacTally()
         out = conv2d_raw(nhwc(x), w, padding=1, tally=tally)
         per_image = np.concatenate([conv2d_raw(nhwc(x[i : i + 1]), w, padding=1)
@@ -124,8 +137,9 @@ class TestConv2d:
         assert out.tobytes() == per_image.tobytes()
         taped = conv2d(Value(nhwc(x)), ConvKernel(Value(w)), padding=1, tape=Tape())
         assert taped.data.tobytes() == out.tobytes()  # one chunked path, taped or not
-        assert max_rel_error(nchw(out), naive_conv2d(x, w, padding=1)) < 1e-10
-        assert tally.total == n * 3 * 4 * 4 * 2 * 3 * 3
+        tail = slice(n - 1, n)  # the naive loops are slow; one image suffices
+        assert max_rel_error(nchw(out[tail]), naive_conv2d(x[tail], w, padding=1)) < 1e-10
+        assert tally.total == n * f_out * side * side * 2 * 3 * 3
 
 
 class TestNarrowConv:
@@ -233,6 +247,44 @@ class TestConv2dBackward:
         assert grad_x.shape == x.shape and grad_w.shape == w.shape
         np.testing.assert_allclose(grad_x, want_x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
+
+    # a float64 batch of three full two-image chunks plus a one-image tail,
+    # the patch budget shrunk to two images' patch matrix
+    @pytest.mark.parametrize("a,b,padding", [(3, 3, 0), (3, 3, 1), (3, 3, 3), (3, 5, 4)])
+    def test_chunked_matches_naive_and_per_image_runs(self, monkeypatch, a, b, padding):
+        n, c, f_out, h, width = 7, _BIT_STABLE_WIDTH, 3, 5, 6
+        rng = np.random.default_rng(a * 100 + b * 10 + padding + 7)
+        x = rng.standard_normal((n, c, h, width))
+        w = rng.standard_normal((f_out, c, a, b))
+        grad_out = rng.standard_normal(naive_conv2d(x, w, padding=padding).shape)
+        # the backward's patch matrix of g: h*width rows, a*b*f_out wide
+        monkeypatch.setattr(tensor, "_PATCH_BYTES", 2 * h * width * a * b * f_out * 8)
+        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+        per_image = np.concatenate([
+            conv2d_backward(nhwc(grad_out[i : i + 1]), nhwc(x[i : i + 1]), w,
+                            padding=padding)[0] for i in range(n)])
+        assert grad_x.tobytes() == per_image.tobytes()
+        want_x, want_w = naive_conv2d_backward(grad_out, x, w, padding=padding)
+        np.testing.assert_allclose(nchw(grad_x), want_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
+
+    def test_chunked_constant_narrow_input(self, monkeypatch):
+        n, c, f_in, f_out = 7, 2, 5, 4
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, c, 6, 7))
+        padded = np.concatenate([x, np.zeros((n, f_in - c, 6, 7))], axis=1)
+        w = rng.standard_normal((f_out, f_in, 3, 3))
+        grad_out = rng.standard_normal((n, f_out, 6, 7))
+        # two images' patches of x per chunk: 6*7 rows, 3*3*c wide
+        monkeypatch.setattr(tensor, "_PATCH_BYTES", 2 * 6 * 7 * 3 * 3 * c * 8)
+        image, weights = Value(nhwc(x), needs_grad=False), Value(w)
+        tape = Tape()
+        out = conv2d(image, ConvKernel(weights), tape=tape)
+        tape.backward(out, nhwc(grad_out))
+        assert image.grad is None
+        _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=1)
+        np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
+        assert not weights.grad[:, c:].any()
 
     @pytest.mark.parametrize("groups", [1, 4])
     def test_finite_differences(self, groups):
