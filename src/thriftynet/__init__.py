@@ -9,7 +9,7 @@ from .errors import (
     ThriftyNetError,
 )
 from .model import (
-    ForwardRecord,
+    MacTally,
     ThriftyConfig,
     ThriftyNet,
     load_model,
@@ -20,7 +20,6 @@ from .planner import MacCount, ParamCount, mac_count, make_schedule, param_count
 from .tensor import (
     BatchNormState,
     ConvKernel,
-    MacTally,
     Tape,
     Value,
     softmax_cross_entropy,
@@ -48,7 +47,6 @@ __all__ = [
     "ConvKernel",
     "DataError",
     "DegenerateBatchError",
-    "ForwardRecord",
     "MacCount",
     "MacTally",
     "NumericalError",

@@ -196,7 +196,7 @@ def _class_count(spec) -> int:
     return {"cifar10": 10, "cifar100": 100}.get(spec.dataset, 0)
 
 
-def _build_model_config(spec, num_classes: int) -> ThriftyConfig:
+def _build_model_config(spec, num_classes: int, input_channels: int = 3) -> ThriftyConfig:
     schedule = _build_schedule(spec)
     filters = spec.filters
     if filters <= 0:
@@ -213,6 +213,7 @@ def _build_model_config(spec, num_classes: int) -> ThriftyConfig:
         conv_mode=spec.conv,
         activation=spec.activation,
         num_classes=num_classes,
+        input_channels=input_channels,
     )
 
 
@@ -299,7 +300,7 @@ def _prepare_out(spec, out: str) -> Path:
 def cmd_train(args) -> int:
     spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS})
     train_ds, test_ds = _load_datasets(spec)
-    config = _build_model_config(spec, train_ds.class_count)
+    config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     counts = planner.param_count(config)
     out_dir = _prepare_out(spec, args.out)
     print(f"filters={config.filters} params_total={counts.total} "
@@ -351,21 +352,9 @@ def cmd_plan(args) -> int:
     rows = []
     for iterations in iteration_values:
         for pools in pool_values:
-            filters = spec.filters or planner.solve_filters(
-                spec.budget, iterations, spec.history,
-                (spec.kernel, spec.kernel), spec.conv, spec.classes,
-                spec.budget_convention,
-            )
-            config = ThriftyConfig(
-                filters=filters,
-                iterations=iterations,
-                schedule=planner.make_schedule(iterations, pools, "regular"),
-                history=spec.history,
-                kernel=(spec.kernel, spec.kernel),
-                conv_mode=spec.conv,
-                activation=spec.activation,
-                num_classes=spec.classes,
-            )
+            row_spec = argparse.Namespace(**{**spec.resolved, "iterations": iterations,
+                                             "pools": pools})
+            config = _build_model_config(row_spec, spec.classes)
             rows.append(planner.plan_row(config, (spec.input_size, spec.input_size)))
     rows.sort(key=lambda r: r["macs_total"])
     print(",".join(planner.PLAN_COLUMNS))
@@ -395,7 +384,7 @@ def cmd_ablate(args) -> int:
     spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS,
                           "phase1_epochs": 150, "phase2_epochs": 150})
     train_ds, test_ds = _load_datasets(spec)
-    config = _build_model_config(spec, train_ds.class_count)
+    config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     if config.history < 1:
         raise ConfigurationError("the shortcut study needs --history >= 1")
     out_dir = _prepare_out(spec, args.out)
@@ -444,11 +433,11 @@ def cmd_sweep(args) -> int:
                 raise ConfigurationError(f"unknown manifest key {key!r}")
             merged[key] = _coerce(key, value, merged[key])
         entry_spec = argparse.Namespace(**merged)
-        configs.append(_build_model_config(entry_spec, train_ds.class_count))
+        configs.append(_build_model_config(entry_spec, train_ds.class_count,
+                                           train_ds.images.shape[1]))
     out_dir = _prepare_out(spec, args.out)
     rows = metrics_mod.sweep(configs, train_ds, test_ds, _train_config(spec),
                              repeats=spec.repeats, out_dir=out_dir)
-    metrics_mod.write_csv(out_dir / "sweep.csv", metrics_mod.SWEEP_COLUMNS, rows)
     for row in rows:
         print(",".join(str(v) for v in row))
     return EXIT_OK

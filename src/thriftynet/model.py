@@ -15,10 +15,14 @@ stored history entry is pooled as well, keeping all lags at the resolution
 of the newest activation.  The head is a global max pool followed by a fully
 connected layer.
 
-Layout: the model takes (N, C, H, W) images, checkpoints hold conv weights
-as (f_out, f_in, a, b), and `ForwardRecord` reports (N, C, H, W) shapes.
-Inside, `forward` transposes the image once to channels-last (N, H, W, C),
-the layout of every tensor op, and the recursion never leaves it.
+Layout: the model takes (N, C, H, W) images and checkpoints hold conv
+weights as (f_out, f_in, a, b).  Inside, `iterate` transposes the image once
+to channels-last (N, H, W, C), the layout of every tensor op, and the
+recursion never leaves it: the x_{t+1} it yields are (N, H, W, f).
+
+Instrumentation lives here, not in the ops: `iterate` yields every x_{t+1},
+which `forward` drains and `mean_activations` reads, and `forward` fills a
+`MacTally` from the resolutions and weight counts it already knows.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from .errors import CheckpointError, ConfigurationError
 from .tensor import (
     BatchNormState,
     ConvKernel,
-    MacTally,
     Tape,
     Value,
     add_scaled,
@@ -43,7 +47,6 @@ from .tensor import (
     check_tensor4,
     conv2d,
     global_max_pool,
-    grouped_conv,
     linear,
     maxpool2x2,
     relu,
@@ -114,12 +117,20 @@ class ThriftyConfig:
 
 
 @dataclass
-class ForwardRecord:
-    """Per-iteration channel means collected during a forward pass."""
+class MacTally:
+    """Nominal multiply-accumulates of forward passes, as `ThriftyNet.forward`
+    adds them: iteration t counts N*H_t*W_t times the shared conv's weight
+    count, since each output position reads every weight once (zero input
+    channels included, so the narrow t=0 conv counts all f_in), and the head
+    counts N*f*K.  Pooling, batch norm, activations and shortcut sums are
+    not counted."""
 
-    post_means: list[np.ndarray] = field(default_factory=list)  # mean of x_{t+1}
-    act_means: list[np.ndarray] = field(default_factory=list)   # mean of act(conv(x_t))
-    shapes: list[tuple[int, ...]] = field(default_factory=list)  # of x_{t+1}, (N, C, H, W)
+    per_iteration: list[int] = field(default_factory=list)
+    head: int = 0
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_iteration) + self.head
 
 
 def _channel_means(x: np.ndarray) -> np.ndarray:
@@ -185,6 +196,12 @@ class ThriftyNet:
         self.alpha: Value | None = Value(take()) if config.residual else None
         self.fc_w, self.fc_b = Value(take()), Value(take())
 
+    @property
+    def kernels(self) -> list[ConvKernel]:
+        """The shared conv's kernels in the order they apply: the classical
+        kernel, or depthwise then pointwise."""
+        return [self.conv] if self.conv is not None else [self.depthwise, self.pointwise]
+
     # -- parameter bookkeeping ------------------------------------------------
 
     def trainables(self) -> list[tuple[str, Value]]:
@@ -217,10 +234,10 @@ class ThriftyNet:
 
     # -- forward passes --------------------------------------------------------
 
-    def _conv_step(self, x: Value, tape, tally) -> Value:
-        if self.conv is not None:
-            return conv2d(x, self.conv, tape=tape, tally=tally)
-        return grouped_conv(x, self.depthwise, self.pointwise, tape=tape, tally=tally)
+    def _conv_step(self, x: Value, tape) -> Value:
+        for kernel in self.kernels:
+            x = conv2d(x, kernel, tape=tape)
+        return x
 
     def _activate(self, x: Value, tape) -> Value:
         if self.config.activation == "relu":
@@ -241,11 +258,10 @@ class ThriftyNet:
             )
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
 
-    def forward(self, x: np.ndarray, mode: str = "train", tape: Tape | None = None,
-                tally: MacTally | None = None,
-                record: ForwardRecord | None = None) -> Value:
-        """Run the recursion on (N, C, H, W) images; returns the (N, K) class
-        scores as a Value."""
+    def iterate(self, x: np.ndarray, mode: str = "train",
+                tape: Tape | None = None) -> Iterator[Value]:
+        """Run the recursion on (N, C, H, W) images, yielding each x_{t+1},
+        t = 0 .. T-1, as an (N, H_{t+1}, W_{t+1}, f) Value."""
         cfg = self.config
         image = Value(self._check_input(x), needs_grad=False)
         # history[i] = x_{t-i}, newest first; x_0 is the image padded to f channels
@@ -256,11 +272,7 @@ class ThriftyNet:
         # the plain net's lag-0 coefficient is a fixed 1 that is never trained
         alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
         for t in range(cfg.iterations):
-            if tally is not None:
-                tally.begin_iteration()
-            a = self._activate(self._conv_step(cur, tape, tally), tape)
-            if record is not None:
-                record.act_means.append(_channel_means(a.data))
+            a = self._activate(self._conv_step(cur, tape), tape)
             u = add_scaled(a, history, alpha, t, tape=tape)
             v = batchnorm(u, self.bn[t], mode, tape=tape)
             keep = history[: cfg.history]  # entries still reachable next step
@@ -269,15 +281,23 @@ class ThriftyNet:
                 keep = [maxpool2x2(h, tape=tape) for h in keep]
             cur = v
             history = [cur, *keep]
-            if record is not None:
-                record.post_means.append(_channel_means(cur.data))
-                n, h, w, c = cur.data.shape
-                record.shapes.append((n, c, h, w))
+            yield cur
+
+    def forward(self, x: np.ndarray, mode: str = "train", tape: Tape | None = None,
+                tally: MacTally | None = None) -> Value:
+        """Run the recursion on (N, C, H, W) images; returns the (N, K) class
+        scores as a Value.  A `tally` gets this pass's MACs added."""
+        positions = []  # N*H*W of x_1 .. x_T
+        for cur in self.iterate(x, mode, tape):
+            positions.append(cur.data[..., 0].size)
         pooled = global_max_pool(cur, tape=tape)
-        flat = reshape(pooled, (pooled.data.shape[0], cfg.filters), tape=tape)
+        flat = reshape(pooled, (pooled.data.shape[0], self.config.filters), tape=tape)
         if tally is not None:
-            tally.begin_head()
-        return linear(flat, self.fc_w, self.fc_b, tape=tape, tally=tally)
+            # iteration t convolves x_t at the resolution x_t has
+            weights = sum(kernel.weight_count for kernel in self.kernels)
+            tally.per_iteration += [p * weights for p in [x[:, 0].size, *positions[:-1]]]
+            tally.head += flat.data.shape[0] * self.fc_w.data.size
+        return linear(flat, self.fc_w, self.fc_b, tape=tape)
 
 
 def mean_activations(model: ThriftyNet, images: np.ndarray,
@@ -293,9 +313,8 @@ def mean_activations(model: ThriftyNet, images: np.ndarray,
     seen = 0
     for start in range(0, images.shape[0], batch_size):
         chunk = images[start : start + batch_size]
-        rec = ForwardRecord()
-        model.forward(chunk, mode="eval", record=rec)
-        total += chunk.shape[0] * np.stack(rec.post_means)
+        means = [_channel_means(x.data) for x in model.iterate(chunk, mode="eval")]
+        total += chunk.shape[0] * np.stack(means)
         seen += chunk.shape[0]
     return (total / seen).astype(model.dtype)
 
@@ -336,12 +355,7 @@ def _tensor_shapes(cfg: ThriftyConfig) -> list[tuple[int, ...]]:
 
 
 def _model_tensors(model: ThriftyNet) -> list[np.ndarray]:
-    tensors = []
-    if model.conv is not None:
-        tensors.append(model.conv.weights.data)
-    else:
-        tensors.append(model.depthwise.weights.data)
-        tensors.append(model.pointwise.weights.data)
+    tensors = [kernel.weights.data for kernel in model.kernels]
     for state in model.bn:
         tensors.extend([state.gamma.data, state.beta.data,
                         state.running_mean, state.running_var])

@@ -10,11 +10,12 @@ head adding f*K + K.  `table1_total` reports the alternative convention that
 adds h*T on top of the core, kept for cross-checking published counts; both
 conventions are exposed rather than silently merging them.
 
-MAC counts use one multiply-accumulate per kernel multiplication, zero-padded
-positions included, which is exactly what the conv and linear kernels issue;
-pooling, batch norm, activations and shortcut sums are excluded.  The
-reference for correctness is the instrumented tally of an actual forward
-pass, not any published total.
+MAC counts are nominal: one multiply-accumulate per kernel multiplication,
+zero-padded positions and zero input channels included, so the first
+classical conv counts all f input channels although it multiplies only the
+image's real ones; pooling, batch norm, activations and shortcut sums are
+excluded.  The reference for correctness is the `MacTally` that a forward
+pass fills in, divided by its batch size, not any published total.
 """
 
 from __future__ import annotations

@@ -162,42 +162,6 @@ class Tape:
                 backward_fn(grad)
 
 
-class MacTally:
-    """Counts the nominal multiply-accumulate operations of conv/linear.
-
-    A conv counts f_in/groups * a * b MACs per output, the layer's nominal
-    size, zero input channels included: the first classical conv reads only
-    the image's real channels but is tallied as if it read all f_in.  Only
-    the multiplicative kernels are tallied; pooling, batch norm, activations
-    and shortcut sums are excluded from the accounting.
-    """
-
-    def __init__(self) -> None:
-        self.per_iteration: list[int] = []
-        self.head = 0
-        self.other = 0
-        self._bucket: int | str | None = None
-
-    def begin_iteration(self) -> None:
-        self.per_iteration.append(0)
-        self._bucket = len(self.per_iteration) - 1
-
-    def begin_head(self) -> None:
-        self._bucket = "head"
-
-    def add(self, macs: int) -> None:
-        if self._bucket == "head":
-            self.head += macs
-        elif isinstance(self._bucket, int):
-            self.per_iteration[self._bucket] += macs
-        else:
-            self.other += macs
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_iteration) + self.head + self.other
-
-
 def check_tensor4(x: Array, name: str = "input") -> Array:
     if x.ndim != 4:
         raise ConfigurationError(
@@ -322,24 +286,16 @@ def _image_chunks(n: int, image_bytes: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _conv2d_forward_single(x: Array, w: Array, padding: int,
-                           tally: MacTally | None) -> Array:
+def _conv2d_forward_single(x: Array, w: Array, padding: int) -> Array:
     """groups=1 convolution, stride 1.  An input with C < f_in channels is
     read as if zero-padded to f_in: only w[:, :C] multiplies, so the patch
-    matrix is a*b*C wide, but the tally counts the nominal f_in*a*b MACs per
-    output.  The batch runs in _image_chunks, each through a patch matrix
-    that is freed before the next is gathered; the backward keeps none of
-    them."""
+    matrix is a*b*C wide.  The batch runs in _image_chunks, each through a
+    patch matrix that is freed before the next is gathered; the backward
+    keeps none of them."""
     n, h, width, c = x.shape
-    f_out, f_in, a, b = w.shape
+    f_out, _, a, b = w.shape
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
-    if tally is not None:
-        tally.add(n * f_out * ho * wo * f_in * a * b)
-    w = w[:, :c]
-    if a == 1 and b == 1 and padding == 0:
-        # pointwise: a plain channel-mixing matmul
-        return (x.reshape(-1, c) @ w[:, :, 0, 0].T).reshape(n, h, width, f_out)
-    wmat = _kernel_matrix(w)
+    wmat = _kernel_matrix(w[:, :c])
     out = np.empty((n, ho, wo, f_out), dtype=x.dtype)
     for chunk in _image_chunks(n, ho * wo * wmat.shape[0] * x.itemsize):
         np.matmul(_gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b), wmat,
@@ -364,12 +320,6 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     f_out, _, a, b = w.shape
     grad_w = np.zeros_like(w)
     w = w[:, :c]
-    if a == 1 and b == 1 and padding == 0:
-        g2d = g.reshape(-1, f_out)
-        grad_w[:, :c, 0, 0] = g2d.T @ x.reshape(-1, c)
-        if not need_x:
-            return None, grad_w
-        return (g2d @ w[:, :, 0, 0]).reshape(n, h, width, c), grad_w
     if not need_x:
         acc = np.zeros((a * b * c, f_out), dtype=g.dtype)
         for chunk in _image_chunks(n, g.shape[1] * g.shape[2] * a * b * c * g.itemsize):
@@ -388,14 +338,11 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     return grad_x, grad_w
 
 
-def _conv2d_forward_depthwise(x: Array, w: Array, padding: int,
-                              tally: MacTally | None) -> Array:
+def _conv2d_forward_depthwise(x: Array, w: Array, padding: int) -> Array:
     n, h, width, c = x.shape
     _, _, a, b = w.shape
     xp = _pad_nhwc(x, padding, padding)
     ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
-    if tally is not None:
-        tally.add(n * c * ho * wo * a * b)
     out = np.zeros((n, ho, wo, c), dtype=x.dtype)
     for i in range(a):
         for j in range(b):
@@ -436,12 +383,11 @@ def _conv_kernels(w: Array, groups: int):
     )
 
 
-def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0,
-               tally: MacTally | None = None) -> Array:
+def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0) -> Array:
     """Non-taped convolution, stride 1, zero padding; with groups=1, x may
     have fewer channels than w, the missing ones read as zeros."""
     forward, _ = _conv_kernels(w, groups)
-    return forward(x, w, padding, tally)
+    return forward(x, w, padding)
 
 
 def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
@@ -459,7 +405,7 @@ def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
 
 
 def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
-           tape: Tape | None = None, tally: MacTally | None = None) -> Value:
+           tape: Tape | None = None) -> Value:
     """Stride-1 classical or depthwise convolution; `padding=None` means
     same-padding.  A classical conv also takes an input with fewer channels
     than the kernel's f_in and treats the missing channels as zeros."""
@@ -482,7 +428,7 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
         )
     x_data, w = x.data, kernel.weights
     forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
-    out = Value(forward(x_data, w.data, padding, tally))
+    out = Value(forward(x_data, w.data, padding))
     if tape is not None:
         need_x, x_slot = x.needs_grad, x.slot
 
@@ -494,21 +440,6 @@ def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
 
         tape.record(out, backward)
     return out
-
-
-def grouped_conv(x: Value, depthwise: ConvKernel, pointwise: ConvKernel, *,
-                 tape: Tape | None = None, tally: MacTally | None = None) -> Value:
-    """Depthwise axb convolution followed by a pointwise 1x1 channel mix."""
-    c = x.data.shape[3]
-    if depthwise.groups != c or depthwise.f_out != c:
-        raise ConfigurationError(
-            f"depthwise kernel must have groups == channels == {c}, "
-            f"got groups={depthwise.groups}, f_out={depthwise.f_out}"
-        )
-    if pointwise.groups != 1 or pointwise.kernel_hw != (1, 1):
-        raise ConfigurationError("pointwise kernel must be 1x1 with a single group")
-    mid = conv2d(x, depthwise, tape=tape, tally=tally)
-    return conv2d(mid, pointwise, tape=tape, tally=tally)
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +752,11 @@ def _linear_backward(g: Array, x: Array, w: Array) -> tuple[Array, Array, Array]
     return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
-def linear(x: Value, weights: Value, bias: Value, *, tape: Tape | None = None,
-           tally: MacTally | None = None) -> Value:
+def linear(x: Value, weights: Value, bias: Value, *, tape: Tape | None = None) -> Value:
     """(N,F) @ (F,K) + (K,) -> class scores."""
     if x.data.ndim != 2:
         raise ConfigurationError(f"linear input must be 2-D, got shape {x.data.shape}")
-    n, f = x.data.shape
+    f = x.data.shape[1]
     if weights.data.shape[0] != f:
         raise ConfigurationError(
             f"linear weights expect {weights.data.shape[0]} features, input has {f}"
@@ -835,8 +765,6 @@ def linear(x: Value, weights: Value, bias: Value, *, tape: Tape | None = None,
         raise ConfigurationError(
             f"bias shape {bias.data.shape} does not match {weights.data.shape[1]} outputs"
         )
-    if tally is not None:
-        tally.add(n * f * weights.data.shape[1])
     out = Value(x.data @ weights.data + bias.data)
     if tape is not None:
         x_data, x_slot = x.data, x.slot

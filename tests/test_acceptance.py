@@ -20,9 +20,16 @@ from thriftynet.gradcheck import (
     finite_difference,
     max_rel_error,
 )
-from thriftynet.model import ThriftyConfig, ThriftyNet, load_model, save_model, serialize_model
+from thriftynet.model import (
+    MacTally,
+    ThriftyConfig,
+    ThriftyNet,
+    load_model,
+    save_model,
+    serialize_model,
+)
 from thriftynet.planner import mac_count, make_schedule, param_count, solve_filters
-from thriftynet.tensor import MacTally, Value
+from thriftynet.tensor import Value
 from thriftynet.training import (
     AlphaRegConfig,
     TrainConfig,
@@ -93,7 +100,7 @@ def test_acceptance_2_parameter_accounting():
 
 
 def test_acceptance_3_mac_accounting():
-    """planner.mac_count equals the instrumented per-sample tally exactly."""
+    """planner.mac_count times the batch size equals the forward's tally exactly."""
     rng = np.random.default_rng(3033)
     checked = 0
     while checked < 50:
@@ -103,13 +110,14 @@ def test_acceptance_3_mac_accounting():
         lo = 2 ** config.n_pools
         hw = int(rng.integers(lo, max(lo + 1, 13)))
         model = ThriftyNet(config, seed=checked)
-        tally = MacTally()
         x = rng.standard_normal((1, config.input_channels, hw, hw)).astype(np.float32)
-        model.forward(x, mode="eval", tally=tally)
         expected = mac_count(config, (hw, hw))
-        assert tuple(tally.per_iteration) == expected.per_iteration
-        assert tally.head == expected.head
-        assert tally.total == expected.total
+        for n in (1, 3):  # the tally counts the batch, mac_count one sample
+            tally = MacTally()
+            model.forward(np.repeat(x, n, axis=0), mode="eval", tally=tally)
+            assert tuple(tally.per_iteration) == tuple(n * m for m in expected.per_iteration)
+            assert tally.head == n * expected.head
+            assert tally.total == n * expected.total
         checked += 1
     announce(3, f"{checked} random configs: closed form == instrumented tally")
 

@@ -88,6 +88,15 @@ class TestPlan:
         assert macs == sorted(macs)
         assert len(rows) == 4
 
+    def test_schedule_flag_matches_count(self, capsys):
+        arch = ("--schedule", "front_loaded", "--iterations", "15", "--pools", "4")
+        _, counted, _ = run(capsys, "count", *arch)
+        code, planned, _ = run(capsys, "plan", *arch, "--iterations-list", "15",
+                               "--pools-list", "4")
+        assert code == 0
+        macs_total = counted.split("macs_total=")[1].split()[0]
+        assert planned.splitlines()[1].split(",")[-1] == macs_total
+
 
 class TestTrain:
     def test_budget_first_flow(self, capsys, raw_dataset_files, tmp_path):
@@ -165,6 +174,35 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--config", str(config),
                          "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+class TestOneChannelData:
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate"])
+    def test_runs_on_one_channel_raw_images(self, capsys, tmp_path, command):
+        from thriftynet.data import save_raw
+
+        rng = np.random.default_rng(41)
+        paths = []
+        for name, n in (("train", 40), ("test", 20)):
+            paths.append(tmp_path / f"{name}.rawt")
+            save_raw(paths[-1], rng.standard_normal((n, 1, 8, 8)).astype(np.float32),
+                     np.arange(n) % 2)
+        argv = [command, "--dataset", "raw", "--raw-train", str(paths[0]),
+                "--raw-test", str(paths[1]), "--epochs", "1", "--lr-drops", "",
+                "--batch-size", "20", "--no-augment", "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            manifest = tmp_path / "manifest.txt"
+            manifest.write_text("filters=4 iterations=2 history=1 pools=1\n")
+            argv += ["--manifest", str(manifest)]
+        else:
+            argv += ["--filters", "4", "--iterations", "2", "--history", "1", "--pools", "1"]
+        if command == "ablate":
+            argv += ["--phase1-epochs", "1", "--phase2-epochs", "1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        if command == "sweep":  # a failed sweep point is a row, not an exit code
+            _, rows = read_csv(tmp_path / "out" / "sweep.csv")
+            assert rows[0][-1] == "ok"
 
 
 class TestMalformedNumbers:

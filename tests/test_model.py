@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _layout import nchw, nhwc
+from _layout import nhwc
 from thriftynet.errors import CheckpointError, ConfigurationError
 from thriftynet.gradcheck import check_model_gradients, finite_difference, max_rel_error
 from thriftynet.model import (
     _HEADER,
     CHECKPOINT_MAGIC,
-    ForwardRecord,
+    MacTally,
     ThriftyConfig,
     ThriftyNet,
     deserialize_model,
@@ -67,34 +67,38 @@ class TestPlainForward:
         model.fc_w.data = np.eye(3)
         model.fc_b.data = np.zeros(3)
         x = random_input(config, n=2, hw=6, dtype=np.float64)
-        rec = ForwardRecord()
-        logits = model.forward(x, mode="eval", record=rec)
-        expected = nchw(batchnorm(channel_pad(Value(nhwc(x)), 3), model.bn[0], "eval").data)
+        (x_1,) = model.iterate(x, mode="eval")
+        expected = batchnorm(channel_pad(Value(nhwc(x)), 3), model.bn[0], "eval").data
+        np.testing.assert_array_equal(x_1.data, expected)
         np.testing.assert_array_equal(
-            rec.post_means[0], expected.mean(axis=(0, 2, 3))
+            model.forward(x, mode="eval").data, expected.max(axis=(1, 2))
         )
-        np.testing.assert_array_equal(
-            logits.data, expected.max(axis=(2, 3))
-        )
+
+    def test_narrow_first_conv_tallies_nominal_macs(self):
+        # the t=0 conv reads the image's 2 channels but counts all f_in=5
+        config = ThriftyConfig(filters=5, iterations=1, schedule=(1,), input_channels=2)
+        model = ThriftyNet(config, seed=0, dtype=np.float64)
+        x = random_input(config, n=2, hw=6, dtype=np.float64)
+        for tape in (None, Tape()):
+            tally = MacTally()
+            model.forward(x, mode="train", tape=tape, tally=tally)
+            assert tally.per_iteration == [2 * 6 * 6 * 5 * 5 * 3 * 3]
 
     def test_cifar_shape_trace(self):
         config = ThriftyConfig(filters=64, iterations=15,
                                schedule=make_schedule(15, 4), history=0)
         model = ThriftyNet(config, seed=1)
-        rec = ForwardRecord()
-        logits = model.forward(np.zeros((1, 3, 32, 32), dtype=np.float32),
-                               mode="eval", record=rec)
-        assert rec.shapes[-1] == (1, 64, 2, 2)
-        assert logits.data.shape == (1, 10)
+        x = np.zeros((1, 3, 32, 32), dtype=np.float32)
+        *_, last = model.iterate(x, mode="eval")
+        assert last.data.shape == (1, 2, 2, 64)
+        assert model.forward(x, mode="eval").data.shape == (1, 10)
 
     def test_spatial_trace_ceil_halving(self):
         config = ThriftyConfig(filters=4, iterations=3, schedule=(2, 2, 2),
                                input_channels=3)
         model = ThriftyNet(config, seed=2)
-        rec = ForwardRecord()
-        model.forward(np.zeros((1, 3, 11, 9), dtype=np.float32), mode="eval",
-                      record=rec)
-        assert [s[2:] for s in rec.shapes] == [(6, 5), (3, 3), (2, 2)]
+        outputs = model.iterate(np.zeros((1, 3, 11, 9), dtype=np.float32), mode="eval")
+        assert [x.data.shape[1:3] for x in outputs] == [(6, 5), (3, 3), (2, 2)]
 
     def test_logits_permutation_covariant(self):
         config = small_config(history=0)
@@ -161,10 +165,9 @@ class TestResidualForward:
         config = ThriftyConfig(filters=4, iterations=5, schedule=(1, 2, 1, 2, 1),
                                history=3, input_channels=3)
         model = ThriftyNet(config, seed=13)
-        rec = ForwardRecord()
-        model.forward(np.zeros((1, 3, 8, 8), dtype=np.float32), mode="eval",
-                      record=rec)
-        assert [s[2:] for s in rec.shapes] == [(8, 8), (4, 4), (4, 4), (2, 2), (2, 2)]
+        outputs = model.iterate(np.zeros((1, 3, 8, 8), dtype=np.float32), mode="eval")
+        assert ([x.data.shape[1:3] for x in outputs]
+                == [(8, 8), (4, 4), (4, 4), (2, 2), (2, 2)])
 
     def test_alpha_gradient_finite_differences(self):
         config = ThriftyConfig(filters=4, iterations=4, schedule=(1, 2, 1, 1),
@@ -362,15 +365,6 @@ class TestMeanActivations:
         for t, row in enumerate(matrix):
             np.testing.assert_allclose(row, padded_means * scale ** (t + 1),
                                        rtol=1e-10, atol=1e-15)
-
-    def test_relu_act_means_nonnegative(self):
-        config = small_config(history=2, activation="relu")
-        model = ThriftyNet(config, seed=24)
-        rec = ForwardRecord()
-        model.forward(random_input(config, seed=25), mode="eval", record=rec)
-        act_matrix = np.stack(rec.act_means)
-        assert act_matrix.shape == (config.iterations, config.filters)
-        assert (act_matrix >= 0.0).all()
 
 
 class TestCheckpoints:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thriftynet.errors import ConfigurationError
-from thriftynet.model import ThriftyConfig, ThriftyNet
+from thriftynet.model import MacTally, ThriftyConfig, ThriftyNet
 from thriftynet.planner import (
     mac_count,
     make_schedule,
@@ -12,7 +12,6 @@ from thriftynet.planner import (
     plan_row,
     solve_filters,
 )
-from thriftynet.tensor import MacTally
 
 
 def config_for(f, t, h, conv_mode="classical", schedule=None, num_classes=10,
@@ -84,13 +83,14 @@ class TestMacCount:
         config = random_config(rng, max_filters=8, max_iterations=5)
         hw = int(rng.integers(2 ** config.n_pools, 13))
         model = ThriftyNet(config, seed=seed)
-        tally = MacTally()
         x = rng.standard_normal((1, config.input_channels, hw, hw)).astype(np.float32)
-        model.forward(x, mode="eval", tally=tally)
         expected = mac_count(config, (hw, hw))
-        assert tuple(tally.per_iteration) == expected.per_iteration
-        assert tally.head == expected.head
-        assert tally.total == expected.total
+        for n in (1, 3):  # the tally counts the batch, mac_count one sample
+            tally = MacTally()
+            model.forward(np.repeat(x, n, axis=0), mode="eval", tally=tally)
+            assert tuple(tally.per_iteration) == tuple(n * m for m in expected.per_iteration)
+            assert tally.head == n * expected.head
+            assert tally.total == n * expected.total
 
 
 class TestSolveFilters:

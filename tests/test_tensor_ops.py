@@ -16,10 +16,10 @@ from _oracles import (
 from thriftynet import tensor
 from thriftynet.errors import ConfigurationError, DataError, DegenerateBatchError
 from thriftynet.gradcheck import finite_difference, max_rel_error
+from thriftynet.model import ThriftyConfig, ThriftyNet
 from thriftynet.tensor import (
     BatchNormState,
     ConvKernel,
-    MacTally,
     Tape,
     Value,
     add_scaled,
@@ -29,7 +29,6 @@ from thriftynet.tensor import (
     conv2d_backward,
     conv2d_raw,
     global_max_pool,
-    grouped_conv,
     linear,
     maxpool2x2,
     relu,
@@ -120,7 +119,7 @@ class TestConv2d:
     def test_untaped_chunks_match_per_image_runs(self):
         # images sized from the patch budget to about three per chunk, and a
         # batch of two full chunks plus a one-image tail: every image lands
-        # in its own slot, and the MACs are counted once for the whole batch
+        # in its own slot
         k = 2 * 3 * 3  # patch-matrix width of a 3x3 conv on 2 channels
         side = int((tensor._PATCH_BYTES / (3 * k * 8)) ** 0.5)
         per_chunk = tensor._PATCH_BYTES // (side * side * k * 8)
@@ -130,8 +129,7 @@ class TestConv2d:
         x = rng.standard_normal((n, 2, side, side))
         f_out = _BIT_STABLE_WIDTH
         w = rng.standard_normal((f_out, 2, 3, 3))
-        tally = MacTally()
-        out = conv2d_raw(nhwc(x), w, padding=1, tally=tally)
+        out = conv2d_raw(nhwc(x), w, padding=1)
         per_image = np.concatenate([conv2d_raw(nhwc(x[i : i + 1]), w, padding=1)
                                     for i in range(n)])
         assert out.tobytes() == per_image.tobytes()
@@ -139,7 +137,6 @@ class TestConv2d:
         assert taped.data.tobytes() == out.tobytes()  # one chunked path, taped or not
         tail = slice(n - 1, n)  # the naive loops are slow; one image suffices
         assert max_rel_error(nchw(out[tail]), naive_conv2d(x[tail], w, padding=1)) < 1e-10
-        assert tally.total == n * f_out * side * side * 2 * 3 * 3
 
 
 class TestNarrowConv:
@@ -179,17 +176,6 @@ class TestNarrowConv:
         assert image.grad is None
         _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
-
-    def test_tallies_nominal_macs(self):
-        x, _, w, _ = self.case(3, 3, 1)
-        x = nhwc(x)
-        for keep in (False, True):  # untaped and taped
-            tally = MacTally()
-            if keep:
-                conv2d(Value(x), ConvKernel(Value(w)), padding=1, tape=Tape(), tally=tally)
-            else:
-                conv2d_raw(x, w, padding=1, tally=tally)
-            assert tally.total == 2 * 4 * 6 * 7 * 5 * 3 * 3  # f_in=5, not C=2
 
     def test_depthwise_still_needs_every_channel(self):
         with pytest.raises(ConfigurationError):
@@ -316,7 +302,7 @@ class TestGroupedConv:
         dw[:, 0, 1, 1] = 1.0  # centered delta per channel
         pw = np.eye(f).reshape(f, f, 1, 1)
         x = Value(nhwc(np.random.default_rng(2).standard_normal((2, f, 5, 5))))
-        out = grouped_conv(x, kernel(dw, groups=f), kernel(pw))
+        out = conv2d(conv2d(x, kernel(dw, groups=f)), kernel(pw))
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_weight_count_formula(self):
@@ -326,14 +312,17 @@ class TestGroupedConv:
         assert dw.weight_count + pw.weight_count == f * 9 + f * f == 136
 
     def test_equals_two_separate_convs(self):
-        rng = np.random.default_rng(3)
+        # a grouped model's conv step is its depthwise conv, then its pointwise
         f = 6
-        x = Value(nhwc(rng.standard_normal((2, f, 7, 7))))
-        dw = kernel(rng.standard_normal((f, 1, 3, 3)), groups=f)
-        pw = kernel(rng.standard_normal((f, f, 1, 1)))
-        combined = grouped_conv(x, dw, pw)
-        staged = conv2d(conv2d(x, dw), pw)
-        np.testing.assert_array_equal(combined.data, staged.data)
+        config = ThriftyConfig(filters=f, iterations=1, schedule=(1,), conv_mode="grouped",
+                               input_channels=f)
+        model = ThriftyNet(config, seed=3, dtype=np.float64)
+        x = np.random.default_rng(3).standard_normal((2, f, 7, 7))
+        (x_1,) = model.iterate(x, mode="eval")
+        x_0 = Value(nhwc(x))
+        staged = relu(conv2d(conv2d(x_0, model.depthwise), model.pointwise))
+        staged = batchnorm(add_scaled(staged, [x_0], np.ones((1, 1)), 0), model.bn[0], "eval")
+        np.testing.assert_array_equal(x_1.data, staged.data)
 
 
 class TestBatchNorm:
