@@ -27,13 +27,7 @@ from .errors import (
     NumericalError,
 )
 from .gradcheck import check_model_gradients, summarize_groups
-from .model import (
-    ThriftyConfig,
-    ThriftyNet,
-    deserialize_model,
-    mean_activations,
-    save_model,
-)
+from .model import ThriftyConfig, ThriftyNet, load_model, mean_activations
 from .training import (
     AlphaRegConfig,
     TrainConfig,
@@ -168,6 +162,18 @@ TRAIN_DEFAULTS = {
     "steps_per_epoch": 0,    # 0 = one pass over the train split
 }
 
+COUNT_DEFAULTS = {"input_size": 32, "classes": 10}
+
+PLAN_DEFAULTS = {
+    **COUNT_DEFAULTS,
+    "iterations_list": "",   # comma list; empty = just --iterations
+    "pools_list": "",        # comma list; empty = just --pools
+}
+
+ABLATE_DEFAULTS = {"phase1_epochs": 150, "phase2_epochs": 150}
+
+SWEEP_DEFAULTS = {"classes": 10, "repeats": 1}  # repeats = seeds per sweep point
+
 
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     for key, default in defaults.items():
@@ -192,11 +198,7 @@ def _build_schedule(spec) -> tuple[int, ...]:
                                  explicit=_parse_int_list("schedule", text))
 
 
-def _class_count(spec) -> int:
-    return {"cifar10": 10, "cifar100": 100}.get(spec.dataset, 0)
-
-
-def _build_model_config(spec, num_classes: int, input_channels: int = 3) -> ThriftyConfig:
+def _build_model_config(spec, num_classes: int, input_channels: int) -> ThriftyConfig:
     schedule = _build_schedule(spec)
     filters = spec.filters
     if filters <= 0:
@@ -277,14 +279,6 @@ def _train_config(spec) -> TrainConfig:
     )
 
 
-def _load_checkpoint_model(path) -> ThriftyNet:
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    model, _ = deserialize_model(path.read_bytes())
-    return model
-
-
 def _prepare_out(spec, out: str) -> Path:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +309,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = RunSpec(args, dict(DATA_DEFAULTS))
-    model = _load_checkpoint_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     _, test_ds = _load_datasets(spec)
     if test_ds.class_count != model.config.num_classes:
         raise ConfigurationError(
@@ -328,8 +322,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_count(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, "input_size": 32, "classes": 10})
-    config = _build_model_config(spec, spec.classes)
+    spec = RunSpec(args, {**ARCH_DEFAULTS, **COUNT_DEFAULTS})
+    # the counts read no input_channels; 1 is valid for every filter count
+    config = _build_model_config(spec, spec.classes, input_channels=1)
     counts = planner.param_count(config)
     macs = planner.mac_count(config, (spec.input_size, spec.input_size))
     print(f"filters={config.filters}")
@@ -344,8 +339,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, "input_size": 32, "classes": 10,
-                          "iterations_list": "", "pools_list": ""})
+    spec = RunSpec(args, {**ARCH_DEFAULTS, **PLAN_DEFAULTS})
     iteration_values = (_parse_int_list("iterations_list", spec.iterations_list)
                         or (spec.iterations,))
     pool_values = _parse_int_list("pools_list", spec.pools_list) or (spec.pools,)
@@ -354,7 +348,7 @@ def cmd_plan(args) -> int:
         for pools in pool_values:
             row_spec = argparse.Namespace(**{**spec.resolved, "iterations": iterations,
                                              "pools": pools})
-            config = _build_model_config(row_spec, spec.classes)
+            config = _build_model_config(row_spec, spec.classes, input_channels=1)
             rows.append(planner.plan_row(config, (spec.input_size, spec.input_size)))
     rows.sort(key=lambda r: r["macs_total"])
     print(",".join(planner.PLAN_COLUMNS))
@@ -382,7 +376,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS,
-                          "phase1_epochs": 150, "phase2_epochs": 150})
+                          **ABLATE_DEFAULTS})
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     if config.history < 1:
@@ -410,7 +404,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_activations(args) -> int:
     spec = RunSpec(args, dict(DATA_DEFAULTS))
-    model = _load_checkpoint_model(args.checkpoint)
+    model = load_model(args.checkpoint)
     train_ds, _ = _load_datasets(spec)
     matrix = mean_activations(model, train_ds.images)
     metrics_mod.write_matrix_csv(matrix, args.out)
@@ -419,8 +413,7 @@ def cmd_export_activations(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = RunSpec(args, {**DATA_DEFAULTS, **TRAIN_DEFAULTS, "classes": 10,
-                          "repeats": 1})
+    spec = RunSpec(args, {**DATA_DEFAULTS, **TRAIN_DEFAULTS, **SWEEP_DEFAULTS})
     entries = metrics_mod.parse_manifest(args.manifest)
     if not entries:
         raise ConfigurationError(f"manifest {args.manifest} lists no configs")
@@ -482,26 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     new_command(
         "count", cmd_count, "print parameter and MAC counts",
-        (ARCH_DEFAULTS,),
-        **{
-            "--input-size": dict(dest="input_size", type=int, default=None,
-                                 help="(default: 32)"),
-            "--classes": dict(type=int, default=None, help="(default: 10)"),
-        },
+        (ARCH_DEFAULTS, COUNT_DEFAULTS),
     )
     new_command(
         "plan", cmd_plan, "budget-constrained architecture table",
-        (ARCH_DEFAULTS,),
-        **{
-            "--input-size": dict(dest="input_size", type=int, default=None,
-                                 help="(default: 32)"),
-            "--classes": dict(type=int, default=None, help="(default: 10)"),
-            "--iterations-list": dict(dest="iterations_list", default=None,
-                                      help="comma list of iteration counts"),
-            "--pools-list": dict(dest="pools_list", default=None,
-                                 help="comma list of pool counts"),
-            "--out": dict(default="", help="optional CSV output path"),
-        },
+        (ARCH_DEFAULTS, PLAN_DEFAULTS),
+        **{"--out": dict(default="", help="optional CSV output path")},
     )
     new_command(
         "gradcheck", cmd_gradcheck, "verify analytic gradients per group",
@@ -514,14 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     new_command(
         "ablate", cmd_ablate, "shortcut binarization/freezing study",
-        (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS),
-        **{
-            "--phase1-epochs": dict(dest="phase1_epochs", type=int, default=None,
-                                    help="(default: 150)"),
-            "--phase2-epochs": dict(dest="phase2_epochs", type=int, default=None,
-                                    help="(default: 150)"),
-            "--out": dict(default="runs/ablation", help="output directory"),
-        },
+        (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS, ABLATE_DEFAULTS),
+        **{"--out": dict(default="runs/ablation", help="output directory")},
     )
     new_command(
         "export-activations", cmd_export_activations,
@@ -534,13 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     new_command(
         "sweep", cmd_sweep, "train every config in a manifest",
-        (DATA_DEFAULTS, TRAIN_DEFAULTS),
+        (DATA_DEFAULTS, TRAIN_DEFAULTS, SWEEP_DEFAULTS),
         **{
             "--manifest": dict(required=True,
                                help="file with one key=value config per line"),
-            "--classes": dict(type=int, default=None, help="(default: 10)"),
-            "--repeats": dict(type=int, default=None,
-                              help="seeds per sweep point (default: 1)"),
             "--out": dict(default="runs/sweep", help="output directory"),
         },
     )

@@ -338,8 +338,21 @@ def mean_activations(model: ThriftyNet, images: np.ndarray,
 # grouped: depthwise then pointwise), per iteration gamma/beta/
 # running_mean/running_var, alpha row-major (residual only), FC weights
 # row-major, FC bias.
+#
+# A training checkpoint (`last.ckpt`) continues with an optimizer section,
+# which `training.load_train_checkpoint` reads and `load_model` skips:
+#
+#   magic   9 bytes  b"OPTSTATE1"
+#   u32     next epoch
+#   f64     alpha-regularization strength lambda
+#   f64     best test accuracy so far
+#   u32     velocity count
+#
+# then one momentum velocity per trainable, in `trainables()` order, raw in
+# the model's dtype.
 
 CHECKPOINT_MAGIC = b"THRIFTY1"
+OPT_MAGIC = b"OPTSTATE1"
 _HEADER = struct.Struct("<8s4B7I")
 _DTYPE_CODES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
@@ -460,9 +473,11 @@ def save_model(model: ThriftyNet, path) -> None:
 
 
 def load_model(path) -> ThriftyNet:
+    """The model in a checkpoint file: a model container that ends the file
+    or is followed by an optimizer section, which is not read."""
     blob = Path(path).read_bytes()
     model, consumed = deserialize_model(blob)
-    if consumed != len(blob):
+    if consumed != len(blob) and not blob.startswith(OPT_MAGIC, consumed):
         raise CheckpointError(
             f"checkpoint has {len(blob) - consumed} trailing bytes"
         )

@@ -7,16 +7,20 @@ writes its (N*H*W, f) matrices as plain reshapes, batch norm reduces over
 rows of C contiguous values, and pooling strides over H and W with C
 innermost.  The public edges stay (batch, channel, height, width): the
 model transposes its input image once, and conv weights keep the shape
-(f_out, f_in, a, b).  Every primitive comes as a forward plus an analytic
-backward; recording ops on a Tape while running forward and replaying the
-records in reverse accumulates gradients into every `Value` that
-contributed, parameters included.  A record keeps only what its backward
-reads: the gradient slots of its inputs, not the inputs, and no patch
-matrix.  The classical conv gathers its im2col patch matrix as a transient
-in the forward, a few whole images (about 8 MiB of patches) at a time, so
-that its GEMM reads the patches back from cache, not from DRAM; its
-backward works through g in the same chunks, and takes the weight gradient
-from the patch matrix of g that it gathers for the input gradient anyway.
+(f_out, f_in, a, b).  The recursion adds each conv output to earlier
+activations, so every conv is same-padded: an odd a x b kernel sees
+(a-1)/2 rows and (b-1)/2 columns of zeros on each side, and only pooling
+shrinks an activation.  Every primitive comes as a forward plus an
+analytic backward; recording ops on a Tape while running forward and
+replaying the records in reverse accumulates gradients into every `Value`
+that contributed, parameters included.  A record keeps only what its
+backward reads: the gradient slots of its inputs, not the inputs, and no
+patch matrix.  The classical conv gathers its im2col patch matrix as a
+transient in the forward, a few whole images (about 8 MiB of patches) at
+a time, so that its GEMM reads the patches back from cache, not from
+DRAM; its backward works through g in the same chunks, and takes the
+weight gradient from the patch matrix of g that it gathers for the input
+gradient anyway.
 
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
@@ -224,33 +228,19 @@ class ConvKernel:
             )
 
     @property
-    def f_out(self) -> int:
-        return self.weights.data.shape[0]
-
-    @property
     def f_in(self) -> int:
         return self.weights.data.shape[1] * self.groups
-
-    @property
-    def kernel_hw(self) -> tuple[int, int]:
-        return self.weights.data.shape[2], self.weights.data.shape[3]
-
-    @property
-    def same_padding(self) -> int:
-        return (self.weights.data.shape[2] - 1) // 2
 
     @property
     def weight_count(self) -> int:
         return int(self.weights.data.size)
 
 
-def _pad_nhwc(x: Array, ph: int, pw: int) -> Array:
-    """(N,H,W,C) zero-padded by ph rows and pw columns on each side, or
-    cropped by -ph / -pw where negative; x itself (or a view of it) when
-    nothing is added."""
-    ch, cw = max(-ph, 0), max(-pw, 0)
-    x = x[:, ch : x.shape[1] - ch, cw : x.shape[2] - cw]
-    ph, pw = max(ph, 0), max(pw, 0)
+def _pad_same(x: Array, a: int, b: int) -> Array:
+    """(N,H,W,C) zero-padded by (a-1)/2 rows and (b-1)/2 columns on each
+    side, so that an odd a x b window fits at each of its H*W positions; x
+    itself for a 1x1 window."""
+    ph, pw = (a - 1) // 2, (b - 1) // 2
     if ph == 0 and pw == 0:
         return x
     n, h, w, c = x.shape
@@ -286,31 +276,30 @@ def _image_chunks(n: int, image_bytes: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n, step))
 
 
-def _conv2d_forward_single(x: Array, w: Array, padding: int) -> Array:
-    """groups=1 convolution, stride 1.  An input with C < f_in channels is
-    read as if zero-padded to f_in: only w[:, :C] multiplies, so the patch
-    matrix is a*b*C wide.  The batch runs in _image_chunks, each through a
-    patch matrix that is freed before the next is gathered; the backward
-    keeps none of them."""
+def _conv2d_forward_single(x: Array, w: Array) -> Array:
+    """groups=1 convolution, stride 1, same padding.  An input with C < f_in
+    channels is read as if zero-padded to f_in: only w[:, :C] multiplies,
+    so the patch matrix is a*b*C wide.  The batch runs in _image_chunks,
+    each through a patch matrix that is freed before the next is gathered;
+    the backward keeps none of them."""
     n, h, width, c = x.shape
     f_out, _, a, b = w.shape
-    ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
     wmat = _kernel_matrix(w[:, :c])
-    out = np.empty((n, ho, wo, f_out), dtype=x.dtype)
-    for chunk in _image_chunks(n, ho * wo * wmat.shape[0] * x.itemsize):
-        np.matmul(_gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b), wmat,
+    out = np.empty((n, h, width, f_out), dtype=x.dtype)
+    for chunk in _image_chunks(n, h * width * wmat.shape[0] * x.itemsize):
+        np.matmul(_gather_cols(_pad_same(x[chunk], a, b), a, b), wmat,
                   out=out[chunk].reshape(-1, f_out))
     return out
 
 
-def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
+def _conv2d_backward_single(g: Array, x: Array, w: Array,
                             need_x: bool = True) -> tuple[Array | None, Array]:
     """grad_x (None unless `need_x`) is the full correlation of g with the
-    flipped kernel, its in/out axes swapped: g is padded by a-1-p rows and
-    b-1-p columns (cropped instead where padding > a-1 or > b-1), then goes
-    through the forward's gather and a GEMM, one _image_chunks slice of g
-    at a time.  That patch matrix also gives grad_w:
-    gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1-p), w+j-(b-1-p), o], so the sum
+    flipped kernel, its in/out axes swapped.  Same padding p = (a-1)/2
+    leaves a-1-p = p, so g is padded exactly as the forward pads x, then
+    goes through the forward's gather and a GEMM, one _image_chunks slice
+    of g at a time.  That patch matrix also gives grad_w:
+    gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1)/2, w+j-(b-1)/2, o], so the sum
     over chunks of x.T @ gcols holds kernel tap (i, j) at (a-1-i, b-1-j),
     flipped back once at the end.  A constant input has no gcols, so its
     grad_w sums cols.T @ g over chunks of re-gathered patches of x, narrow
@@ -322,8 +311,8 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     w = w[:, :c]
     if not need_x:
         acc = np.zeros((a * b * c, f_out), dtype=g.dtype)
-        for chunk in _image_chunks(n, g.shape[1] * g.shape[2] * a * b * c * g.itemsize):
-            cols = _gather_cols(_pad_nhwc(x[chunk], padding, padding), a, b)
+        for chunk in _image_chunks(n, h * width * a * b * c * g.itemsize):
+            cols = _gather_cols(_pad_same(x[chunk], a, b), a, b)
             acc += cols.T @ g[chunk].reshape(-1, f_out)
         grad_w[:, :c] = acc.reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
         return None, grad_w
@@ -331,43 +320,40 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array, padding: int,
     grad_x = np.empty((n, h, width, c), dtype=g.dtype)
     acc = np.zeros((c, a * b * f_out), dtype=g.dtype)
     for chunk in _image_chunks(n, h * width * wflip.shape[0] * g.itemsize):
-        gcols = _gather_cols(_pad_nhwc(g[chunk], a - 1 - padding, b - 1 - padding), a, b)
+        gcols = _gather_cols(_pad_same(g[chunk], a, b), a, b)
         np.matmul(gcols, wflip, out=grad_x[chunk].reshape(-1, c))
         acc += x[chunk].reshape(-1, c).T @ gcols
     grad_w[:, :c] = acc.reshape(c, a, b, f_out)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
     return grad_x, grad_w
 
 
-def _conv2d_forward_depthwise(x: Array, w: Array, padding: int) -> Array:
+def _conv2d_forward_depthwise(x: Array, w: Array) -> Array:
     n, h, width, c = x.shape
     _, _, a, b = w.shape
-    xp = _pad_nhwc(x, padding, padding)
-    ho, wo = h + 2 * padding - a + 1, width + 2 * padding - b + 1
-    out = np.zeros((n, ho, wo, c), dtype=x.dtype)
+    xp = _pad_same(x, a, b)
+    out = np.zeros((n, h, width, c), dtype=x.dtype)
     for i in range(a):
         for j in range(b):
-            out += xp[:, i : i + ho, j : j + wo] * w[:, 0, i, j]
+            out += xp[:, i : i + h, j : j + width] * w[:, 0, i, j]
     return out
 
 
-def _conv2d_backward_depthwise(g: Array, x: Array, w: Array, padding: int,
+def _conv2d_backward_depthwise(g: Array, x: Array, w: Array,
                                need_x: bool = True) -> tuple[Array | None, Array]:
     n, h, width, c = x.shape
     _, _, a, b = w.shape
-    ho, wo = g.shape[1], g.shape[2]
-    xp = _pad_nhwc(x, padding, padding)
+    xp = _pad_same(x, a, b)
     grad_w = np.zeros_like(w)
     grad_xp = np.zeros_like(xp)
     for i in range(a):
         for j in range(b):
-            grad_w[:, 0, i, j] = _channel_dot(g, xp[:, i : i + ho, j : j + wo])
+            grad_w[:, 0, i, j] = _channel_dot(g, xp[:, i : i + h, j : j + width])
             if need_x:
-                grad_xp[:, i : i + ho, j : j + wo] += g * w[:, 0, i, j]
+                grad_xp[:, i : i + h, j : j + width] += g * w[:, 0, i, j]
     if not need_x:
         return None, grad_w
-    if padding:
-        grad_xp = grad_xp[:, padding : padding + h, padding : padding + width]
-    return np.ascontiguousarray(grad_xp), grad_w
+    ph, pw = (a - 1) // 2, (b - 1) // 2
+    return np.ascontiguousarray(grad_xp[:, ph : ph + h, pw : pw + width]), grad_w
 
 
 def _conv_kernels(w: Array, groups: int):
@@ -383,57 +369,27 @@ def _conv_kernels(w: Array, groups: int):
     )
 
 
-def conv2d_raw(x: Array, w: Array, groups: int = 1, padding: int = 0) -> Array:
-    """Non-taped convolution, stride 1, zero padding; with groups=1, x may
-    have fewer channels than w, the missing ones read as zeros."""
-    forward, _ = _conv_kernels(w, groups)
-    return forward(x, w, padding)
-
-
-def conv2d_backward(grad_out: Array, x: Array, w: Array, groups: int = 1,
-                    padding: int = 0) -> tuple[Array, Array]:
-    """Gradients of conv2d_raw w.r.t. its input and weights (full-size, zero
-    past the channels of a narrow input)."""
-    _, backward = _conv_kernels(w, groups)
-    expected = (x.shape[0], x.shape[1] + 2 * padding - w.shape[2] + 1,
-                x.shape[2] + 2 * padding - w.shape[3] + 1, w.shape[0])
-    if grad_out.shape != expected:
-        raise ConfigurationError(
-            f"grad_out shape {grad_out.shape} does not match forward output {expected}"
-        )
-    return backward(grad_out, x, w, padding)
-
-
-def conv2d(x: Value, kernel: ConvKernel, padding: int | None = None, *,
-           tape: Tape | None = None) -> Value:
-    """Stride-1 classical or depthwise convolution; `padding=None` means
-    same-padding.  A classical conv also takes an input with fewer channels
-    than the kernel's f_in and treats the missing channels as zeros."""
+def conv2d(x: Value, kernel: ConvKernel, *, tape: Tape | None = None) -> Value:
+    """Stride-1 classical or depthwise convolution with same padding: an
+    a x b kernel sees (a-1)/2 rows and (b-1)/2 columns of zeros on each
+    side, so the output keeps the input's height and width.  A classical
+    conv also takes an input with fewer channels than the kernel's f_in and
+    treats the missing channels as zeros."""
     check_tensor4(x.data)
-    a, b = kernel.kernel_hw
-    if padding is None:
-        padding = kernel.same_padding
-    if padding < 0:
-        raise ConfigurationError(f"padding must be >= 0, got {padding}")
     c = x.data.shape[3]
     if c > kernel.f_in or (c < kernel.f_in and kernel.groups != 1):
         raise ConfigurationError(
             f"input has {c} channels but kernel expects "
             f"{'at most ' if kernel.groups == 1 else ''}{kernel.f_in}"
         )
-    if x.data.shape[1] + 2 * padding < a or x.data.shape[2] + 2 * padding < b:
-        raise ConfigurationError(
-            f"spatial size {x.data.shape[1:3]} too small for kernel {a}x{b} "
-            f"with padding {padding}"
-        )
     x_data, w = x.data, kernel.weights
     forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
-    out = Value(forward(x_data, w.data, padding))
+    out = Value(forward(x_data, w.data))
     if tape is not None:
         need_x, x_slot = x.needs_grad, x.slot
 
         def backward(g: Array) -> None:
-            gx, gw = backward_kernel(g, x_data, w.data, padding, need_x)
+            gx, gw = backward_kernel(g, x_data, w.data, need_x)
             if need_x:
                 _accumulate(x_slot, gx, owned=True)
             _accumulate(w.slot, gw, owned=True)

@@ -29,7 +29,7 @@ import numpy as np
 from .data import ImageDataset, augment_batch, batches
 from .errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from .metrics import MetricLog, MetricRow, now, read_metric_log, write_metric_log, write_timing
-from .model import ThriftyNet, _Reader, deserialize_model, serialize_model
+from .model import OPT_MAGIC, ThriftyNet, _Reader, deserialize_model, serialize_model
 from .tensor import Tape, Value, softmax_cross_entropy
 
 
@@ -261,10 +261,10 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
 
 
 # ---------------------------------------------------------------------------
-# Training checkpoints: model container + optimizer-state section
+# Training checkpoints: model container + optimizer-state section, laid out
+# in the checkpoint-format comment of model.py
 # ---------------------------------------------------------------------------
 
-OPT_MAGIC = b"OPTSTATE1"
 _OPT_HEADER = struct.Struct("<IddI")  # next_epoch, lambda, best_acc, n_velocities
 
 

@@ -44,6 +44,15 @@ class TestHelpAndUsage:
         assert code == 0
         assert "default" in out
 
+    @pytest.mark.parametrize("command,flag,default", [
+        ("count", "--input-size", "32"), ("plan", "--classes", "10"),
+        ("ablate", "--phase2-epochs", "150"), ("sweep", "--repeats", "1"),
+    ])
+    def test_command_flags_show_their_defaults(self, capsys, command, flag, default):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert f"(default: {default})" in out.split(flag)[-1].split("--")[0]
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "count", "--no-such-flag")
         assert code == 2
@@ -74,6 +83,12 @@ class TestCount:
         for key in ("params_alpha", "params_head"):
             assert classical[key] == grouped[key]
 
+    def test_fewer_filters_than_image_channels(self, capsys):
+        code, out, _ = run(capsys, "count", "--filters", "2", "--iterations", "3",
+                           "--history", "0", "--pools", "1")
+        assert code == 0
+        assert "params_core=48" in out  # 2*2*3*3 conv weights + 3*2*2 BN
+
 
 class TestPlan:
     def test_rows_sorted_by_macs(self, capsys, tmp_path):
@@ -87,6 +102,12 @@ class TestPlan:
         macs = [row[-1] for row in rows]
         assert macs == sorted(macs)
         assert len(rows) == 4
+
+    def test_fewer_filters_than_image_channels(self, capsys):
+        code, out, _ = run(capsys, "plan", "--filters", "2", "--iterations", "3",
+                           "--history", "0", "--pools", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 2  # header and one row
 
     def test_schedule_flag_matches_count(self, capsys):
         arch = ("--schedule", "front_loaded", "--iterations", "15", "--pools", "4")
@@ -291,6 +312,17 @@ class TestEval:
                          "--dataset", "raw", "--raw-train", str(train_path),
                          "--raw-test", str(test_path))
         assert code == 3
+
+    def test_junk_after_the_model_exits_3(self, capsys, raw_dataset_files,
+                                          trained_run, tmp_path):
+        train_path, test_path = raw_dataset_files
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes((trained_run / "best.ckpt").read_bytes() + bytes(900))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(bad),
+                           "--dataset", "raw", "--raw-train", str(train_path),
+                           "--raw-test", str(test_path))
+        assert code == 3
+        assert "900 trailing bytes" in err
 
     def test_bad_magic_exits_3(self, capsys, raw_dataset_files, tmp_path):
         train_path, test_path = raw_dataset_files

@@ -22,7 +22,7 @@ from thriftynet.model import (
     _model_tensors,
     _tensor_shapes,
 )
-from thriftynet.planner import make_schedule, param_count
+from thriftynet.planner import mac_count, make_schedule, param_count
 from thriftynet.tensor import Tape, batchnorm, channel_pad, softmax_cross_entropy, Value
 from thriftynet.training import TrainConfig, train
 
@@ -222,6 +222,51 @@ def model_values(model):
 
     visit(model)
     return found
+
+
+class TestNonSquareKernels:
+    """An a x b kernel with a != b is same-padded per axis, so it keeps every
+    activation's height and width."""
+
+    @pytest.mark.parametrize("kernel", [(3, 5), (5, 1)], ids=["3x5", "5x1"])
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_gradients_match_finite_differences(self, conv_mode, kernel):
+        config = ThriftyConfig(filters=4, iterations=3, schedule=(1, 2, 1), history=2,
+                               num_classes=3, kernel=kernel, conv_mode=conv_mode)
+        for check in check_model_gradients(config, seed=5):
+            assert check.passed, (check.name, check.max_rel_err)
+
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_tally_matches_mac_count(self, conv_mode):
+        config = small_config(kernel=(3, 5), conv_mode=conv_mode)
+        model = ThriftyNet(config, seed=6)
+        x = np.random.default_rng(7).standard_normal((3, 3, 8, 6)).astype(np.float32)
+        tally = MacTally()
+        model.forward(x, tally=tally)
+        counts = mac_count(config, (8, 6))
+        assert tally.per_iteration == [3 * m for m in counts.per_iteration]
+        assert tally.head == 3 * counts.head
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        config = small_config(kernel=(5, 3))
+        model = ThriftyNet(config, seed=8)
+        x = random_input(config, seed=9)
+        model.forward(x, mode="train")  # non-trivial running stats
+        save_model(model, tmp_path / "model.ckpt")
+        loaded = load_model(tmp_path / "model.ckpt")
+        assert loaded.config.kernel == (5, 3)
+        assert serialize_model(loaded) == serialize_model(model)
+        assert loaded.forward(x, mode="eval").data.tobytes() == \
+            model.forward(x, mode="eval").data.tobytes()
+
+    def test_trains(self, tiny_pair):
+        train_ds, test_ds = tiny_pair
+        model = ThriftyNet(small_config(kernel=(3, 5), num_classes=10), seed=10)
+        result = train(model, train_ds, test_ds,
+                       TrainConfig(epochs=2, lr_drops=(), batch_size=16,
+                                   steps_per_epoch=3, augment=False))
+        assert len(result.log.rows) == 2
+        assert all(np.isfinite(row.train_loss) for row in result.log.rows)
 
 
 class TestImageInput:

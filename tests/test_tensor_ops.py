@@ -26,8 +26,6 @@ from thriftynet.tensor import (
     batchnorm,
     channel_pad,
     conv2d,
-    conv2d_backward,
-    conv2d_raw,
     global_max_pool,
     linear,
     maxpool2x2,
@@ -40,6 +38,44 @@ from thriftynet.tensor import (
 
 def kernel(array, groups=1):
     return ConvKernel(Value(np.asarray(array, dtype=np.float64)), groups=groups)
+
+
+# odd kernel shapes, non-square ones included: conv2d pads each axis apart
+KERNELS = [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]
+
+
+def same_padded(x, a, b):
+    """(N,C,H,W) x zero-padded by (a-1)/2 rows and (b-1)/2 columns on each
+    side: the input on which the padding-free oracles compute a same conv."""
+    ph, pw = (a - 1) // 2, (b - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
+
+def oracle_conv(x, w, groups=1):
+    return naive_conv2d(same_padded(x, *w.shape[2:]), w, groups=groups)
+
+
+def oracle_conv_backward(grad_out, x, w):
+    """naive_conv2d_backward on the same-padded input, its grad_x cropped
+    back to x's height and width."""
+    a, b = w.shape[2:]
+    grad_xp, grad_w = naive_conv2d_backward(grad_out, same_padded(x, a, b), w)
+    ph, pw = (a - 1) // 2, (b - 1) // 2
+    return grad_xp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]], grad_w
+
+
+def conv(x, w, groups=1):
+    """Untaped conv2d of a channels-last array."""
+    return conv2d(Value(x), ConvKernel(Value(w), groups=groups)).data
+
+
+def conv_backward(grad_out, x, w, groups=1):
+    """(grad_x, grad_w) of conv2d through a Tape seeded with grad_out, with
+    x, grad_x and grad_out channels-last."""
+    xv, wv = Value(x), Value(w)
+    tape = Tape()
+    tape.backward(conv2d(xv, ConvKernel(wv, groups=groups), tape=tape), grad_out)
+    return xv.grad, wv.grad
 
 
 def build_loss_scalar(build_loss):
@@ -58,38 +94,36 @@ _BIT_STABLE_WIDTH = 4
 class TestConv2d:
     def test_identity_kernel(self):
         x = Value(nhwc(np.ones((1, 1, 3, 3))))
-        out = conv2d(x, kernel(np.ones((1, 1, 1, 1))), padding=0)
+        out = conv2d(x, kernel(np.ones((1, 1, 1, 1))))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_ones_kernel_border_counts(self):
         x = Value(nhwc(np.ones((1, 1, 3, 3))))
-        out = conv2d(x, kernel(np.ones((1, 1, 3, 3))), padding=1)
+        out = conv2d(x, kernel(np.ones((1, 1, 3, 3))))
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float64)
         np.testing.assert_array_equal(nchw(out.data)[0, 0], expected)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 4, 8, 8))
-        w = rng.standard_normal((8, 4, 3, 3))
-        out = nchw(conv2d_raw(nhwc(x), w, groups=1, padding=1))
-        ref = naive_conv2d(x, w, groups=1, padding=1)
-        assert max_rel_error(out, ref) < 1e-6
+        for a, b in KERNELS:
+            w = rng.standard_normal((8, 4, a, b))
+            out = nchw(conv(nhwc(x), w))
+            assert out.shape == (2, 8, 8, 8)
+            assert max_rel_error(out, oracle_conv(x, w)) < 1e-6
 
     @pytest.mark.parametrize("groups,channels,f_out", [(4, 4, 4)])
     def test_matches_naive_reference_grouped(self, groups, channels, f_out):
         rng = np.random.default_rng(groups)
         x = rng.standard_normal((2, channels, 5, 5))
-        w = rng.standard_normal((f_out, channels // groups, 3, 3))
-        out = nchw(conv2d_raw(nhwc(x), w, groups=groups, padding=1))
-        ref = naive_conv2d(x, w, groups=groups, padding=1)
-        assert max_rel_error(out, ref) < 1e-6
+        for a, b in KERNELS:
+            w = rng.standard_normal((f_out, channels // groups, a, b))
+            out = nchw(conv(nhwc(x), w, groups=groups))
+            assert max_rel_error(out, oracle_conv(x, w, groups=groups)) < 1e-6
 
     def test_only_classical_and_depthwise_groupings(self):
-        w = np.zeros((6, 2, 3, 3))
         with pytest.raises(ConfigurationError):
-            kernel(w, groups=2)
-        with pytest.raises(ConfigurationError):
-            conv2d_raw(nhwc(np.zeros((1, 4, 5, 5))), w, groups=2, padding=1)
+            kernel(np.zeros((6, 2, 3, 3)), groups=2)
         with pytest.raises(ConfigurationError):
             kernel(np.zeros((6, 1, 3, 3)), groups=3)  # one channel per group, f_out != groups
         assert kernel(np.zeros((6, 1, 3, 3)), groups=6).f_in == 6
@@ -100,12 +134,12 @@ class TestConv2d:
         z = nhwc(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         a, b = np.float32(0.7), np.float32(-1.3)
-        mixed = conv2d_raw(a * x + b * z, w, padding=1)
-        split = a * conv2d_raw(x, w, padding=1) + b * conv2d_raw(z, w, padding=1)
+        mixed = conv(a * x + b * z, w)
+        split = a * conv(x, w) + b * conv(z, w)
         assert max_rel_error(mixed, split) < 1e-5
         w2 = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
-        mixed_w = conv2d_raw(x, a * w + b * w2, padding=1)
-        split_w = a * conv2d_raw(x, w, padding=1) + b * conv2d_raw(x, w2, padding=1)
+        mixed_w = conv(x, a * w + b * w2)
+        split_w = a * conv(x, w) + b * conv(x, w2)
         assert max_rel_error(mixed_w, split_w) < 1e-5
 
     def test_channel_mismatch_rejected(self):
@@ -115,6 +149,8 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             kernel(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ConfigurationError):
+            kernel(np.zeros((1, 1, 3, 2)))
 
     def test_untaped_chunks_match_per_image_runs(self):
         # images sized from the patch budget to about three per chunk, and a
@@ -129,14 +165,13 @@ class TestConv2d:
         x = rng.standard_normal((n, 2, side, side))
         f_out = _BIT_STABLE_WIDTH
         w = rng.standard_normal((f_out, 2, 3, 3))
-        out = conv2d_raw(nhwc(x), w, padding=1)
-        per_image = np.concatenate([conv2d_raw(nhwc(x[i : i + 1]), w, padding=1)
-                                    for i in range(n)])
+        out = conv(nhwc(x), w)
+        per_image = np.concatenate([conv(nhwc(x[i : i + 1]), w) for i in range(n)])
         assert out.tobytes() == per_image.tobytes()
-        taped = conv2d(Value(nhwc(x)), ConvKernel(Value(w)), padding=1, tape=Tape())
+        taped = conv2d(Value(nhwc(x)), ConvKernel(Value(w)), tape=Tape())
         assert taped.data.tobytes() == out.tobytes()  # one chunked path, taped or not
         tail = slice(n - 1, n)  # the naive loops are slow; one image suffices
-        assert max_rel_error(nchw(out[tail]), naive_conv2d(x[tail], w, padding=1)) < 1e-10
+        assert max_rel_error(nchw(out[tail]), oracle_conv(x[tail], w)) < 1e-10
 
 
 class TestNarrowConv:
@@ -144,37 +179,36 @@ class TestNarrowConv:
     that input zero-padded to f_in channels."""
 
     @staticmethod
-    def case(a, b, padding, c=2, f_in=5):
-        rng = np.random.default_rng(a * 100 + b * 10 + padding)
+    def case(a, b, c=2, f_in=5):
+        rng = np.random.default_rng(a * 100 + b * 10)
         x = rng.standard_normal((2, c, 6, 7))
         padded = np.concatenate([x, np.zeros((2, f_in - c, 6, 7))], axis=1)
         w = rng.standard_normal((4, f_in, a, b))
-        grad_out = rng.standard_normal(naive_conv2d(padded, w, padding=padding).shape)
+        grad_out = rng.standard_normal((2, 4, 6, 7))
         return x, padded, w, grad_out
 
-    @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (3, 3, 0), (1, 1, 0), (5, 3, 2)])
-    def test_matches_naive_reference_of_padded_input(self, a, b, padding):
-        x, padded, w, grad_out = self.case(a, b, padding)
-        out = nchw(conv2d_raw(nhwc(x), w, padding=padding))
-        np.testing.assert_allclose(out, naive_conv2d(padded, w, padding=padding),
-                                   rtol=0, atol=1e-10)
-        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+    @pytest.mark.parametrize("a,b", KERNELS)
+    def test_matches_naive_reference_of_padded_input(self, a, b):
+        x, padded, w, grad_out = self.case(a, b)
+        out = nchw(conv(nhwc(x), w))
+        np.testing.assert_allclose(out, oracle_conv(padded, w), rtol=0, atol=1e-10)
+        grad_x, grad_w = conv_backward(nhwc(grad_out), nhwc(x), w)
         grad_x = nchw(grad_x)
-        want_x, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
+        want_x, want_w = oracle_conv_backward(grad_out, padded, w)
         assert grad_x.shape == x.shape and grad_w.shape == w.shape
         np.testing.assert_allclose(grad_x, want_x[:, : x.shape[1]], rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
         assert not grad_w[:, x.shape[1] :].any()  # exactly zero past the real channels
 
-    @pytest.mark.parametrize("a,b,padding", [(3, 3, 1), (1, 1, 0)])
-    def test_constant_input_gets_no_gradient(self, a, b, padding):
-        x, padded, w, grad_out = self.case(a, b, padding)
+    @pytest.mark.parametrize("a,b", KERNELS)
+    def test_constant_input_gets_no_gradient(self, a, b):
+        x, padded, w, grad_out = self.case(a, b)
         image, weights = Value(nhwc(x), needs_grad=False), Value(w)
         tape = Tape()
-        out = conv2d(image, ConvKernel(weights), padding=padding, tape=tape)
+        out = conv2d(image, ConvKernel(weights), tape=tape)
         tape.backward(out, nhwc(grad_out))
         assert image.grad is None
-        _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=padding)
+        _, want_w = oracle_conv_backward(grad_out, padded, w)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
 
     def test_depthwise_still_needs_every_channel(self):
@@ -209,48 +243,48 @@ class TestConv2dBackward:
         x = nhwc(np.random.default_rng(1).standard_normal((2, 1, 4, 4)))
         w = np.ones((1, 1, 1, 1))
         grad_out = nhwc(np.ones((2, 1, 4, 4)))
-        grad_x, grad_w = conv2d_backward(grad_out, x, w, padding=0)
+        grad_x, grad_w = conv_backward(grad_out, x, w)
         np.testing.assert_array_equal(grad_x, np.ones_like(x))
         np.testing.assert_allclose(grad_w[0, 0, 0, 0], x.sum())
 
     def test_shape_mismatch_rejected(self):
+        # the output gradient must have the conv output's (same-padded) shape
+        tape = Tape()
+        out = conv2d(Value(nhwc(np.zeros((1, 1, 5, 5)))), kernel(np.zeros((1, 1, 3, 3))),
+                     tape=tape)
         with pytest.raises(ConfigurationError):
-            conv2d_backward(nhwc(np.zeros((1, 1, 5, 5))), nhwc(np.zeros((1, 1, 5, 5))),
-                            np.zeros((1, 1, 3, 3)), padding=0)
+            tape.backward(out, nhwc(np.zeros((1, 1, 3, 3))))
 
-    # (a, b, padding): padding > a-1 or > b-1 crops the output gradient
-    # before the flipped-kernel correlation that gives grad_x
-    @pytest.mark.parametrize("a,b,padding", [(3, 3, 0), (3, 3, 1), (3, 3, 3), (1, 1, 1),
-                                             (5, 3, 1), (3, 5, 4)])
-    def test_matches_naive_reference(self, a, b, padding):
-        rng = np.random.default_rng(a * 100 + b * 10 + padding)
+    @pytest.mark.parametrize("a,b", KERNELS)
+    def test_matches_naive_reference(self, a, b):
+        rng = np.random.default_rng(a * 100 + b * 10)
         x = rng.standard_normal((2, 3, 5, 6))
         w = rng.standard_normal((4, 3, a, b))
-        grad_out = rng.standard_normal(naive_conv2d(x, w, padding=padding).shape)
-        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+        grad_out = rng.standard_normal((2, 4, 5, 6))
+        grad_x, grad_w = conv_backward(nhwc(grad_out), nhwc(x), w)
         grad_x = nchw(grad_x)
-        want_x, want_w = naive_conv2d_backward(grad_out, x, w, padding=padding)
+        want_x, want_w = oracle_conv_backward(grad_out, x, w)
         assert grad_x.shape == x.shape and grad_w.shape == w.shape
         np.testing.assert_allclose(grad_x, want_x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
 
     # a float64 batch of three full two-image chunks plus a one-image tail,
     # the patch budget shrunk to two images' patch matrix
-    @pytest.mark.parametrize("a,b,padding", [(3, 3, 0), (3, 3, 1), (3, 3, 3), (3, 5, 4)])
-    def test_chunked_matches_naive_and_per_image_runs(self, monkeypatch, a, b, padding):
+    @pytest.mark.parametrize("a,b", KERNELS)
+    def test_chunked_matches_naive_and_per_image_runs(self, monkeypatch, a, b):
         n, c, f_out, h, width = 7, _BIT_STABLE_WIDTH, 3, 5, 6
-        rng = np.random.default_rng(a * 100 + b * 10 + padding + 7)
+        rng = np.random.default_rng(a * 100 + b * 10 + 7)
         x = rng.standard_normal((n, c, h, width))
         w = rng.standard_normal((f_out, c, a, b))
-        grad_out = rng.standard_normal(naive_conv2d(x, w, padding=padding).shape)
+        grad_out = rng.standard_normal((n, f_out, h, width))
         # the backward's patch matrix of g: h*width rows, a*b*f_out wide
         monkeypatch.setattr(tensor, "_PATCH_BYTES", 2 * h * width * a * b * f_out * 8)
-        grad_x, grad_w = conv2d_backward(nhwc(grad_out), nhwc(x), w, padding=padding)
+        grad_x, grad_w = conv_backward(nhwc(grad_out), nhwc(x), w)
         per_image = np.concatenate([
-            conv2d_backward(nhwc(grad_out[i : i + 1]), nhwc(x[i : i + 1]), w,
-                            padding=padding)[0] for i in range(n)])
+            conv_backward(nhwc(grad_out[i : i + 1]), nhwc(x[i : i + 1]), w)[0]
+            for i in range(n)])
         assert grad_x.tobytes() == per_image.tobytes()
-        want_x, want_w = naive_conv2d_backward(grad_out, x, w, padding=padding)
+        want_x, want_w = oracle_conv_backward(grad_out, x, w)
         np.testing.assert_allclose(nchw(grad_x), want_x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_w, want_w, rtol=0, atol=1e-10)
 
@@ -268,7 +302,7 @@ class TestConv2dBackward:
         out = conv2d(image, ConvKernel(weights), tape=tape)
         tape.backward(out, nhwc(grad_out))
         assert image.grad is None
-        _, want_w = naive_conv2d_backward(grad_out, padded, w, padding=1)
+        _, want_w = oracle_conv_backward(grad_out, padded, w)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
         assert not weights.grad[:, c:].any()
 
@@ -282,7 +316,7 @@ class TestConv2dBackward:
 
         def run(analytic=True):
             tape = Tape()
-            out = conv2d(x, ConvKernel(w, groups=groups), padding=1, tape=tape)
+            out = conv2d(x, ConvKernel(w, groups=groups), tape=tape)
             if not analytic:
                 return (out.data * weights).sum()
             x.grad = w.grad = None

@@ -9,7 +9,7 @@ import pytest
 
 from thriftynet.errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from thriftynet.gradcheck import finite_difference, max_rel_error
-from thriftynet.model import ThriftyConfig, ThriftyNet
+from thriftynet.model import ThriftyConfig, ThriftyNet, load_model, serialize_model
 from thriftynet.planner import make_schedule
 from thriftynet.tensor import Value
 from thriftynet.training import (
@@ -338,6 +338,21 @@ class TestResume:
             assert state() == before
         load_train_checkpoint(tmp_path / "last.ckpt", model, opt)
         assert state() != before
+
+    def test_load_model_reads_the_model_of_a_training_checkpoint(self, tiny_pair,
+                                                                 tmp_path):
+        train_ds, test_ds = tiny_pair
+        result = train(ThriftyNet(tiny_model_config(), seed=18), train_ds, test_ds,
+                       tiny_train_config(epochs=1), out_dir=tmp_path)
+        loaded = load_model(tmp_path / "last.ckpt")
+        assert loaded.config == result.model.config
+        for a, b in zip(loaded.state_arrays(), result.model.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+        # what follows the model must be an optimizer section
+        blob = serialize_model(result.model)
+        (tmp_path / "junk.ckpt").write_bytes(blob + b"OPTSTATE" + bytes(40))
+        with pytest.raises(CheckpointError):
+            load_model(tmp_path / "junk.ckpt")
 
     def test_atomic_write_syncs_file_before_rename_then_directory(self, tmp_path,
                                                                    monkeypatch):
