@@ -172,7 +172,7 @@ PLAN_DEFAULTS = {
 
 ABLATE_DEFAULTS = {"phase1_epochs": 150, "phase2_epochs": 150}
 
-SWEEP_DEFAULTS = {"classes": 10, "repeats": 1}  # repeats = seeds per sweep point
+SWEEP_DEFAULTS = {"repeats": 1}  # seeds per sweep point
 
 
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -430,7 +430,7 @@ def cmd_sweep(args) -> int:
                                            train_ds.images.shape[1]))
     out_dir = _prepare_out(spec, args.out)
     rows = metrics_mod.sweep(configs, train_ds, test_ds, _train_config(spec),
-                             repeats=spec.repeats, out_dir=out_dir)
+                             train_ds.images.shape[2:], spec.repeats, out_dir)
     for row in rows:
         print(",".join(str(v) for v in row))
     return EXIT_OK
@@ -449,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def new_command(name, func, help_text, flag_groups=(), **extra):
-        cmd = sub.add_parser(name, help=help_text,
-                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None,
                          help="key=value file; explicit flags override it")
         for group in flag_groups:
@@ -464,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         "train", cmd_train, "train a model",
         (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS),
         **{
-            "--out": dict(default="runs/train", help="output directory"),
-            "--resume": dict(default="", help="resume from a last.ckpt"),
+            "--out": dict(default="runs/train", help="output directory (default: runs/train)"),
+            "--resume": dict(default="", help="resume from a last.ckpt (default: start anew)"),
         },
     )
     new_command(
@@ -480,21 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
     new_command(
         "plan", cmd_plan, "budget-constrained architecture table",
         (ARCH_DEFAULTS, PLAN_DEFAULTS),
-        **{"--out": dict(default="", help="optional CSV output path")},
+        **{"--out": dict(default="", help="CSV output path (default: print only)")},
     )
     new_command(
         "gradcheck", cmd_gradcheck, "verify analytic gradients per group",
         (),
         **{
-            "--seed": dict(type=int, default=0, help="rng seed"),
+            "--seed": dict(type=int, default=0, help="rng seed (default: 0)"),
             "--tolerance": dict(type=float, default=1e-4,
-                                help="max relative error allowed"),
+                                help="max relative error allowed (default: 0.0001)"),
         },
     )
     new_command(
         "ablate", cmd_ablate, "shortcut binarization/freezing study",
         (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS, ABLATE_DEFAULTS),
-        **{"--out": dict(default="runs/ablation", help="output directory")},
+        **{"--out": dict(default="runs/ablation",
+                         help="output directory (default: runs/ablation)")},
     )
     new_command(
         "export-activations", cmd_export_activations,
@@ -502,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         (DATA_DEFAULTS,),
         **{
             "--checkpoint": dict(required=True, help="model checkpoint path"),
-            "--out": dict(default="activations.csv", help="CSV output path"),
+            "--out": dict(default="activations.csv",
+                          help="CSV output path (default: activations.csv)"),
         },
     )
     new_command(
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         **{
             "--manifest": dict(required=True,
                                help="file with one key=value config per line"),
-            "--out": dict(default="runs/sweep", help="output directory"),
+            "--out": dict(default="runs/sweep", help="output directory (default: runs/sweep)"),
         },
     )
     return parser

@@ -116,9 +116,11 @@ SWEEP_COLUMNS = ("f", "T", "h", "n_pools", "params_total", "macs_total",
                  "test_acc", "status")
 
 
-def sweep(configs, train_ds, test_ds, train_config, input_hw=(32, 32),
+def sweep(configs, train_ds, test_ds, train_config, input_hw: tuple[int, int],
           repeats: int = 1, out_dir=None):
     """Train every config with the shared settings; emit the trade-off table.
+
+    `input_hw` is the (H, W) of the images, at which the MACs are counted.
 
     One seed per point by default; `repeats` > 1 averages over consecutive
     seeds.  A failing run is recorded as a failed row and the sweep

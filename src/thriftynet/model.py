@@ -50,7 +50,6 @@ from .tensor import (
     linear,
     maxpool2x2,
     relu,
-    reshape,
     tanh_act,
 )
 
@@ -291,13 +290,12 @@ class ThriftyNet:
         for cur in self.iterate(x, mode, tape):
             positions.append(cur.data[..., 0].size)
         pooled = global_max_pool(cur, tape=tape)
-        flat = reshape(pooled, (pooled.data.shape[0], self.config.filters), tape=tape)
         if tally is not None:
             # iteration t convolves x_t at the resolution x_t has
             weights = sum(kernel.weight_count for kernel in self.kernels)
             tally.per_iteration += [p * weights for p in [x[:, 0].size, *positions[:-1]]]
-            tally.head += flat.data.shape[0] * self.fc_w.data.size
-        return linear(flat, self.fc_w, self.fc_b, tape=tape)
+            tally.head += pooled.data.shape[0] * self.fc_w.data.size
+        return linear(pooled, self.fc_w, self.fc_b, tape=tape)
 
 
 def mean_activations(model: ThriftyNet, images: np.ndarray,

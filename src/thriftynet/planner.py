@@ -42,22 +42,11 @@ class MacCount:
     total: int
 
 
-def _core_params(filters: int, kernel: tuple[int, int], iterations: int,
-                 conv_mode: str) -> int:
-    f = filters
-    a, b = kernel
-    if conv_mode == "classical":
-        conv = f * f * a * b
-    elif conv_mode == "grouped":
-        conv = f * (a * b + f)
-    else:
-        raise ConfigurationError(f"unknown conv_mode {conv_mode!r}")
-    return conv + 2 * f * iterations
-
-
 def param_count(config: ThriftyConfig) -> ParamCount:
     f, t, h = config.filters, config.iterations, config.history
-    core = _core_params(f, config.kernel, t, config.conv_mode)
+    a, b = config.kernel
+    conv = f * f * a * b if config.conv_mode == "classical" else f * (a * b + f)
+    core = conv + 2 * f * t
     alpha_full = t * (h + 1) if config.residual else 0
     head = f * config.num_classes + config.num_classes
     return ParamCount(
@@ -103,11 +92,13 @@ def solve_filters(budget: int, iterations: int, history: int,
         raise ConfigurationError(f"unknown budget convention {convention!r}")
 
     def count(f: int) -> int:
-        core = _core_params(f, kernel, iterations, conv_mode)
-        if convention == "table1":
-            return core + history * iterations
-        alpha_full = iterations * (history + 1) if history >= 1 else 0
-        return core + alpha_full + f * num_classes + num_classes
+        # parameter counts read neither the schedule nor the input channels
+        counts = param_count(ThriftyConfig(
+            filters=f, iterations=iterations, schedule=(1,) * iterations,
+            history=history, kernel=kernel, conv_mode=conv_mode,
+            num_classes=num_classes, input_channels=1,
+        ))
+        return counts.table1_total if convention == "table1" else counts.total
 
     if count(1) > budget:
         raise ConfigurationError(

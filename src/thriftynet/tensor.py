@@ -22,6 +22,10 @@ DRAM; its backward works through g in the same chunks, and takes the
 weight gradient from the patch matrix of g that it gathers for the input
 gradient anyway.
 
+Each gradient array has one owner (the rule is in the Tape docstring), so
+ReLU, tanh and batch norm build their input gradient in the g they are
+handed, and the shortcut sum hands g itself to its base, uncopied.
+
 float32 is the training precision; the gradient-checking tests run the same
 code in float64.  All ops are pure given their inputs and the explicit
 mutable state they declare (BatchNormState running stats, the Tape).
@@ -116,11 +120,10 @@ class Value:
         return f"Value(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-def _accumulate(slot: _GradSlot, g: Array, owned: bool = False) -> None:
-    # Copy on first write unless the closure vouches that `g` is freshly
-    # allocated: a shared array may alias another consumer's gradient buffer.
+def _accumulate(slot: _GradSlot, g: Array) -> None:
+    # g belongs to this slot alone (the Tape's ownership rule), so no copy
     if slot.grad is None:
-        slot.grad = g if owned else np.array(g, copy=True)
+        slot.grad = g
     else:
         slot.grad += g
 
@@ -135,6 +138,13 @@ class Tape:
     one backward, which consumes the records: each is popped and run, then
     its closure, the arrays the closure saved and its output's gradient are
     dropped.  A tape must not be shared between concurrent forward passes.
+
+    Gradient ownership: `backward` hands each closure a g that no slot and
+    no other closure holds.  The closure may overwrite g, and may hand g, or
+    a view of g, to exactly one slot once it has finished reading g.  Each
+    array it passes to `_accumulate` goes to one slot only, so no slot
+    copies what it gets.  The seed is copied, so the caller's array is
+    never written.
     """
 
     def __init__(self) -> None:
@@ -152,7 +162,7 @@ class Tape:
         if self._consumed:
             raise ConfigurationError("tape already consumed by a previous backward()")
         self._consumed = True
-        seed = np.asarray(seed_grad, dtype=out.data.dtype)
+        seed = np.array(seed_grad, dtype=out.data.dtype)
         if seed.shape != out.data.shape:
             raise ConfigurationError(
                 f"seed gradient shape {seed.shape} != output shape {out.data.shape}"
@@ -391,8 +401,8 @@ def conv2d(x: Value, kernel: ConvKernel, *, tape: Tape | None = None) -> Value:
         def backward(g: Array) -> None:
             gx, gw = backward_kernel(g, x_data, w.data, need_x)
             if need_x:
-                _accumulate(x_slot, gx, owned=True)
-            _accumulate(w.slot, gw, owned=True)
+                _accumulate(x_slot, gx)
+            _accumulate(w.slot, gw)
 
         tape.record(out, backward)
     return out
@@ -428,17 +438,17 @@ class BatchNormState:
 
 
 def _bn_train_backward(g: Array, xhat: Array, inv_std: Array, gamma: Array,
-                       m: int) -> tuple[Array, Array, Array]:
+                       m: int) -> tuple[Array, Array]:
     # with dxhat = gamma*g: grad_x = inv/m * (m*dxhat - sum(dxhat)
     #                                         - xhat*sum(dxhat*xhat)),
-    # built in one buffer as gamma*inv * (g - (xhat*sum(g*xhat) + sum(g))/m)
+    # built in g, spending xhat, as gamma*inv * (g - (xhat*sum(g*xhat) + sum(g))/m)
     grad_beta = _channel_sum(g)
     grad_gamma = _channel_dot(g, xhat)
-    grad_x = xhat * (grad_gamma / m)
-    grad_x += grad_beta / m
-    np.subtract(g, grad_x, out=grad_x)
-    grad_x *= gamma * inv_std
-    return grad_x, grad_gamma, grad_beta
+    xhat *= grad_gamma / m
+    xhat += grad_beta / m
+    g -= xhat
+    g *= gamma * inv_std
+    return grad_gamma, grad_beta
 
 
 def batchnorm(x: Value, state: BatchNormState, mode: str, *,
@@ -477,10 +487,10 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
             x_slot = x.slot
 
             def backward(g: Array) -> None:
-                gx, ggamma, gbeta = _bn_train_backward(g, xhat, inv_std, gamma.data, m)
-                _accumulate(x_slot, gx, owned=True)
-                _accumulate(gamma.slot, ggamma, owned=True)
-                _accumulate(beta.slot, gbeta, owned=True)
+                ggamma, gbeta = _bn_train_backward(g, xhat, inv_std, gamma.data, m)
+                _accumulate(x_slot, g)
+                _accumulate(gamma.slot, ggamma)
+                _accumulate(beta.slot, gbeta)
 
             tape.record(out, backward)
         return out
@@ -494,9 +504,10 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
         x_data, x_slot, mean = x.data, x.slot, state.running_mean.copy()
 
         def backward(g: Array) -> None:
-            _accumulate(x_slot, g * scale, owned=True)
-            _accumulate(gamma.slot, _channel_dot(g, (x_data - mean) * inv_std), owned=True)
-            _accumulate(beta.slot, _channel_sum(g), owned=True)
+            _accumulate(gamma.slot, _channel_dot(g, (x_data - mean) * inv_std))
+            _accumulate(beta.slot, _channel_sum(g))
+            g *= scale
+            _accumulate(x_slot, g)
 
         tape.record(out, backward)
     return out
@@ -513,7 +524,8 @@ def relu(x: Value, *, tape: Tape | None = None) -> Value:
         mask, x_slot = out.data > 0, x.slot  # subgradient 0 at exactly 0
 
         def backward(g: Array) -> None:
-            _accumulate(x_slot, g * mask, owned=True)
+            g *= mask
+            _accumulate(x_slot, g)
 
         tape.record(out, backward)
     return out
@@ -525,7 +537,8 @@ def tanh_act(x: Value, *, tape: Tape | None = None) -> Value:
         saved, x_slot = out.data, x.slot
 
         def backward(g: Array) -> None:
-            _accumulate(x_slot, g * (1.0 - saved * saved), owned=True)
+            g *= 1.0 - saved * saved
+            _accumulate(x_slot, g)
 
         tape.record(out, backward)
     return out
@@ -587,26 +600,27 @@ def maxpool2x2(x: Value, *, tape: Tape | None = None) -> Value:
                 gxp[:, h - 1] += gxp[:, h]
             if pad_w:
                 gxp[:, :, w - 1] += gxp[:, :, w]
-            _accumulate(x_slot, gxp[:, :h, :w], owned=True)  # view into fresh gxp
+            _accumulate(x_slot, gxp[:, :h, :w])
 
         tape.record(out, backward)
     return out
 
 
 def global_max_pool(x: Value, *, tape: Tape | None = None) -> Value:
-    """(N,H,W,C) -> (N,1,1,C), the spatial maximum of each channel."""
+    """(N,H,W,C) -> (N,C), the spatial maximum of each channel: the
+    features `linear` takes."""
     check_tensor4(x.data)
     n, h, w, c = x.data.shape
     flat = x.data.reshape(n, h * w, c)
     idx = flat.argmax(axis=1)[:, None]
-    out = Value(np.take_along_axis(flat, idx, axis=1).reshape(n, 1, 1, c))
+    out = Value(np.take_along_axis(flat, idx, axis=1).reshape(n, c))
     if tape is not None:
         x_slot = x.slot
 
         def backward(g: Array) -> None:
             scattered = np.zeros((n, h * w, c), dtype=g.dtype)
             np.put_along_axis(scattered, idx, g.reshape(n, 1, c), axis=1)
-            _accumulate(x_slot, scattered.reshape(n, h, w, c), owned=True)
+            _accumulate(x_slot, scattered.reshape(n, h, w, c))
 
         tape.record(out, backward)
     return out
@@ -630,18 +644,6 @@ def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> 
 
         def backward(g: Array) -> None:
             _accumulate(x_slot, g[..., :c])
-
-        tape.record(out, backward)
-    return out
-
-
-def reshape(x: Value, shape: tuple[int, ...], *, tape: Tape | None = None) -> Value:
-    out = Value(x.data.reshape(shape))
-    if tape is not None:
-        orig, x_slot = x.data.shape, x.slot
-
-        def backward(g: Array) -> None:
-            _accumulate(x_slot, g.reshape(orig))
 
         tape.record(out, backward)
     return out
@@ -685,15 +687,15 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
         lag_data = [lag.data for lag in lags] if trained else []
 
         def backward(g: Array) -> None:
-            _accumulate(base_slot, g)
             for slot, scale in zip(lag_slots, scales):
                 if slot is not None:
-                    _accumulate(slot, scale * g, owned=True)
+                    _accumulate(slot, scale * g)
             if trained:
                 if coeffs.grad is None:
                     coeffs.grad = np.zeros_like(coeffs.data)
                 for i, lag in enumerate(lag_data):
                     coeffs.grad[t, i] += _dot(g, lag)
+            _accumulate(base_slot, g)  # last, once nothing reads g: the base takes g
 
         tape.record(out, backward)
     return out
@@ -727,9 +729,9 @@ def linear(x: Value, weights: Value, bias: Value, *, tape: Tape | None = None) -
 
         def backward(g: Array) -> None:
             gx, gw, gb = _linear_backward(g, x_data, weights.data)
-            _accumulate(x_slot, gx, owned=True)
-            _accumulate(weights.slot, gw, owned=True)
-            _accumulate(bias.slot, gb, owned=True)
+            _accumulate(x_slot, gx)
+            _accumulate(weights.slot, gw)
+            _accumulate(bias.slot, gb)
 
         tape.record(out, backward)
     return out

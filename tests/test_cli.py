@@ -34,15 +34,23 @@ def train_args(raw_dataset_files, out, **extra):
     return args
 
 
+COMMANDS = ["train", "eval", "count", "plan", "gradcheck", "ablate",
+            "export-activations", "sweep"]
+
+
 class TestHelpAndUsage:
-    @pytest.mark.parametrize("command", [
-        "train", "eval", "count", "plan", "gradcheck", "ablate",
-        "export-activations", "sweep",
-    ])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_defaults(self, capsys, command):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
         assert "default" in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_states_each_default_once(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "(default: None)" not in out
+        assert ") (default:" not in " ".join(out.split())
 
     @pytest.mark.parametrize("command,flag,default", [
         ("count", "--input-size", "32"), ("plan", "--classes", "10"),
@@ -409,3 +417,44 @@ class TestSweep:
         assert code == 0
         header, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2
+
+    def test_macs_are_counted_at_the_data_size(self, capsys, tmp_path):
+        from thriftynet.data import save_raw
+        from thriftynet.model import MacTally, ThriftyConfig, ThriftyNet
+        from thriftynet.planner import make_schedule
+
+        rng = np.random.default_rng(42)
+        paths = []
+        for name, n in (("train", 20), ("test", 10)):
+            paths.append(tmp_path / f"{name}.rawt")
+            save_raw(paths[-1], rng.standard_normal((n, 3, 16, 16)).astype(np.float32),
+                     np.arange(n) % 10)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=8 iterations=3 history=0 pools=1\n")
+        out = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", "--manifest", str(manifest), "--dataset", "raw",
+            "--raw-train", str(paths[0]), "--raw-test", str(paths[1]),
+            "--epochs", "1", "--lr-drops", "", "--batch-size", "10",
+            "--no-augment", "--out", str(out),
+        )
+        assert code == 0, err
+        header, rows = read_csv(out / "sweep.csv")
+        config = ThriftyConfig(filters=8, iterations=3, schedule=make_schedule(3, 1))
+        tally = MacTally()
+        ThriftyNet(config).forward(np.zeros((2, 3, 16, 16), np.float32), "eval",
+                                   tally=tally)
+        assert rows[0][header.index("macs_total")] == tally.total / 2
+
+    def test_classes_flag_is_rejected(self, capsys, raw_dataset_files, tmp_path):
+        # the model is always built for the data's classes
+        train_path, test_path = raw_dataset_files
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=6 iterations=3 history=0 pools=1\n")
+        code, _, _ = run(
+            capsys, "sweep", "--manifest", str(manifest), "--classes", "5",
+            "--dataset", "raw", "--raw-train", str(train_path),
+            "--raw-test", str(test_path), "--epochs", "1", "--lr-drops", "",
+            "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 2

@@ -312,8 +312,8 @@ class TestImageInput:
         tape = Tape()
         logits = model.forward(random_input(config, n=4), mode="train", tape=tape)
         # 4 per iteration (conv, relu, add_scaled, bn), the pools of x_2 and
-        # x_1 at t=1 but not of the padded image x_0, and 3 for the head
-        assert len(tape) == 4 * 4 + 2 + 3
+        # x_1 at t=1 but not of the padded image x_0, and 2 for the head
+        assert len(tape) == 4 * 4 + 2 + 2
         tape.backward(logits, np.ones_like(logits.data))
         (image,) = seen
         assert not image.needs_grad and image.grad is None

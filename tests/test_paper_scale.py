@@ -41,15 +41,15 @@ def test_float32_gradients_track_float64_at_paper_depth():
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
-def test_paper_forward_records_84_ops(mode):
+def test_paper_forward_records_83_ops(mode):
     # 4 per iteration (conv, relu, add_scaled, bn), 21 pools (each pooling
     # step pools x_{t+1} and every lag still reachable, never the constant
-    # x_0), and 3 for the head (global max pool, reshape, linear)
+    # x_0), and 2 for the head (global max pool, linear)
     model = ThriftyNet(PAPER, seed=0)
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32)).astype(np.float32)
     tape = Tape()
     model.forward(x, mode=mode, tape=tape)
-    assert len(tape) == 4 * 15 + 21 + 3 == 84
+    assert len(tape) == 4 * 15 + 21 + 2 == 83
 
 
 def test_paper_step_holds_only_what_the_backward_reads():

@@ -30,7 +30,6 @@ from thriftynet.tensor import (
     linear,
     maxpool2x2,
     relu,
-    reshape,
     softmax_cross_entropy,
     tanh_act,
 )
@@ -552,7 +551,7 @@ class TestGlobalMaxPool:
 
     def test_constant(self):
         out = global_max_pool(Value(nhwc(np.full((2, 3, 4, 4), 1.25))))
-        np.testing.assert_array_equal(nchw(out.data), np.full((2, 3, 1, 1), 1.25))
+        np.testing.assert_array_equal(out.data, np.full((2, 3), 1.25))
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(16)
@@ -567,7 +566,7 @@ class TestGlobalMaxPool:
         x = Value(nhwc(np.array([[[[1.0, 3.0], [2.0, 0.0]]]])))
         tape = Tape()
         out = global_max_pool(x, tape=tape)
-        tape.backward(out, np.full((1, 1, 1, 1), 2.0))
+        tape.backward(out, np.full((1, 1), 2.0))
         np.testing.assert_array_equal(nchw(x.grad)[0, 0], [[0.0, 2.0], [0.0, 0.0]])
 
 
@@ -784,6 +783,59 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 6.0))
         np.testing.assert_array_equal(coeffs.grad, [[12.0, 12.0]])
 
+    def test_backward_leaves_the_seed_unchanged(self):
+        # batch norm and relu build their input gradient in the g they get
+        x = Value(nhwc(np.random.default_rng(22).standard_normal((2, 3, 3, 3))))
+        tape = Tape()
+        out = batchnorm(relu(x, tape=tape), BatchNormState.create(3, np.float64),
+                        "train", tape=tape)
+        seed = np.random.default_rng(23).standard_normal(out.shape)
+        kept = seed.copy()
+        tape.backward(out, seed)
+        np.testing.assert_array_equal(seed, kept)
+        assert np.abs(x.grad).max() > 0
+
+    @pytest.mark.parametrize("order", ["relu_first", "add_scaled_first"])
+    def test_one_value_feeding_every_in_place_backward(self, order):
+        # v feeds relu, train-mode batchnorm, maxpool2x2 and add_scaled (as
+        # its base and as a lag), so each backward that writes into its g or
+        # hands g on uncopied meets the others in v's gradient slot; the two
+        # recording orders fill that slot in opposite orders
+        rng = np.random.default_rng(24)
+        x = Value(nhwc(rng.standard_normal((2, 3, 4, 4))))
+        state = BatchNormState.create(3, dtype=np.float64)
+        state.gamma.data = rng.uniform(0.5, 1.5, 3)
+        state.beta.data = rng.standard_normal(3)
+        shared = Value(rng.uniform(-1.0, 1.0, (1, 2)))
+        mix = Value(rng.uniform(-1.0, 1.0, (1, 3)))
+        weights = rng.standard_normal((2, 2, 2, 3))
+
+        def build(analytic=True):
+            tape = Tape()
+            v = tanh_act(x, tape=tape)
+            ops = {
+                "r": lambda: relu(v, tape=tape),
+                "b": lambda: batchnorm(v, state, "train", tape=tape),
+                "p": lambda: maxpool2x2(v, tape=tape),
+                "s": lambda: add_scaled(v, [v, v], shared, 0, tape=tape),
+            }
+            names = "rbps" if order == "relu_first" else "spbr"
+            out = {name: ops[name]() for name in names}
+            pooled = [maxpool2x2(out[name], tape=tape) for name in "rbs"]
+            z = add_scaled(out["p"], pooled, mix, 0, tape=tape)
+            if not analytic:
+                return float(np.sum(z.data * weights))
+            for value in (x, state.gamma, state.beta, shared, mix):
+                value.grad = None
+            tape.backward(z, weights)
+            return None
+
+        build()
+        for target in (x, state.gamma, state.beta, shared, mix):
+            analytic = target.grad
+            numeric = finite_difference(build_loss_scalar(build), target, 1e-6)
+            assert max_rel_error(analytic, numeric) < 1e-6
+
     def test_unused_branches_contribute_nothing(self):
         x = Value(nhwc(np.ones((1, 2, 4, 4))))
         tape = Tape()
@@ -826,8 +878,7 @@ def test_every_primitive_gradient_sweep(seed):
         h5 = add_scaled(h4, [h1, h3], coeffs, 1, tape=tape)
         h6 = maxpool2x2(h5, tape=tape)
         h7 = global_max_pool(h6, tape=tape)
-        flat = reshape(h7, (2, 4), tape=tape)
-        logits = linear(flat, fc_w, fc_b, tape=tape)
+        logits = linear(h7, fc_w, fc_b, tape=tape)
         loss, grad = softmax_cross_entropy(logits.data, labels)
         state.running_mean[...], state.running_var[...] = snapshot
         if not analytic:
