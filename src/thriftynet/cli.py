@@ -166,8 +166,16 @@ COUNT_DEFAULTS = {"input_size": 32, "classes": 10}
 
 PLAN_DEFAULTS = {
     **COUNT_DEFAULTS,
-    "iterations_list": "",   # comma list; empty = just --iterations
-    "pools_list": "",        # comma list; empty = just --pools
+    "iterations_list": "",   # comma list
+    "pools_list": "",        # comma list
+}
+
+# what an empty-string default stands for, as --help states it
+EMPTY_DEFAULT_HELP = {
+    "raw_train": "none; --dataset raw needs it",
+    "raw_test": "none; --dataset raw needs it",
+    "iterations_list": "just --iterations",
+    "pools_list": "just --pools",
 }
 
 ABLATE_DEFAULTS = {"phase1_epochs": 150, "phase2_epochs": 150}
@@ -178,16 +186,17 @@ SWEEP_DEFAULTS = {"repeats": 1}  # seeds per sweep point
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     for key, default in defaults.items():
         flag = "--" + key.replace("_", "-")
+        shown = EMPTY_DEFAULT_HELP.get(key, "none") if default == "" else default
         if isinstance(default, bool):
             group = parser.add_mutually_exclusive_group()
             group.add_argument(flag, dest=key, action="store_const", const=True,
-                               default=None, help=f"(default: {default})")
+                               default=None, help=f"(default: {shown})")
             group.add_argument("--no-" + key.replace("_", "-"), dest=key,
                                action="store_const", const=False, default=None,
                                help=argparse.SUPPRESS)
         else:
             parser.add_argument(flag, dest=key, type=type(default), default=None,
-                                help=f"(default: {default})")
+                                help=f"(default: {shown})")
 
 
 def _build_schedule(spec) -> tuple[int, ...]:

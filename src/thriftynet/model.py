@@ -1,9 +1,11 @@
 """The recursive single-convolution classifier.
 
-One convolutional filter bank is applied T times to the channel-padded
-input.  Each iteration applies the shared convolution, the activation, a
-shortcut sum over the last h+1 activations, a per-iteration batch norm, and
-the scheduled downsampling:
+One convolutional filter bank is applied T times, starting from x_0, the
+input image.  Its C <= f channels are read as zero-padded to f: the convs
+and the shortcut sum treat the channels it lacks as zeros, so the image is
+never widened in memory.  Each iteration applies the shared convolution,
+the activation, a shortcut sum over the last h+1 activations, a
+per-iteration batch norm, and the scheduled downsampling:
 
     x_{t+1} = D_t[ BN_t( act(conv(x_t)) + sum_i alpha[t,i] * x_{t-i} ) ]
 
@@ -43,7 +45,6 @@ from .tensor import (
     Value,
     add_scaled,
     batchnorm,
-    channel_pad,
     check_tensor4,
     conv2d,
     global_max_pool,
@@ -262,23 +263,24 @@ class ThriftyNet:
         """Run the recursion on (N, C, H, W) images, yielding each x_{t+1},
         t = 0 .. T-1, as an (N, H_{t+1}, W_{t+1}, f) Value."""
         cfg = self.config
-        image = Value(self._check_input(x), needs_grad=False)
-        # history[i] = x_{t-i}, newest first; x_0 is the image padded to f channels
-        history: list[Value] = [channel_pad(image, cfg.filters, tape=tape)]
-        # the classical conv reads missing channels as zeros, so at t=0 it
-        # convolves the image's real channels only
-        cur = image if self.conv is not None else history[0]
+        # history[i] = x_{t-i}, newest first.  x_0 is the image itself, read
+        # as zero-padded to f channels: the conv and the shortcut sum treat
+        # the channels it lacks as zeros
+        cur = Value(self._check_input(x), needs_grad=False)
+        history = [cur]
         # the plain net's lag-0 coefficient is a fixed 1 that is never trained
         alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
         for t in range(cfg.iterations):
-            a = self._activate(self._conv_step(cur, tape), tape)
-            u = add_scaled(a, history, alpha, t, tape=tape)
-            v = batchnorm(u, self.bn[t], mode, tape=tape)
+            # nested, so that the conv output, the activation and the shortcut
+            # sum are each freed once the next op has read them
+            cur = batchnorm(
+                add_scaled(self._activate(self._conv_step(cur, tape), tape),
+                           history, alpha, t, tape=tape),
+                self.bn[t], mode, tape=tape)
             keep = history[: cfg.history]  # entries still reachable next step
             if cfg.schedule[t] == 2:
-                v = maxpool2x2(v, tape=tape)
+                cur = maxpool2x2(cur, tape=tape)
                 keep = [maxpool2x2(h, tape=tape) for h in keep]
-            cur = v
             history = [cur, *keep]
             yield cur
 

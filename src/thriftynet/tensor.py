@@ -93,8 +93,8 @@ class Value:
     as soon as the forward drops it.
 
     A Value made with `needs_grad=False` is a constant, the model's input
-    image: `channel_pad` and `maxpool2x2` of it record nothing and return a
-    constant, and `conv2d` and `add_scaled` compute no gradient for it.
+    image: `maxpool2x2` of it records nothing and returns a constant, and
+    `conv2d` and `add_scaled` compute no gradient for it.
     """
 
     __slots__ = ("data", "slot", "needs_grad")
@@ -204,9 +204,23 @@ def _channel_dot(x: Array, y: Array) -> Array:
 def _dot(x: Array, y: Array) -> Array:
     """<x, y> of two (N,H,W,C) arrays: one dot product per image, then their
     sum; at 128x32x32x64 float32 a single dot over all the values is about
-    40 times less accurate."""
-    n = x.shape[0]
-    return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1)).sum()
+    40 times less accurate.  A y with fewer channels than x is read as
+    zero-padded to x's channels: it is padded one _image_chunks slice at a
+    time in a scratch, since a dot over y's own channels alone would round
+    differently from the dot with its padded self."""
+    n, c = x.shape[0], y.shape[3]
+    if c == x.shape[3]:
+        return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1)).sum()
+    dots = np.empty((n, 1, 1), dtype=x.dtype)
+    padded = None
+    for chunk in _image_chunks(n, x[0].nbytes, _SUM_BYTES):
+        xs = x[chunk]
+        k = len(xs)
+        if padded is None:
+            padded = np.zeros_like(xs)  # channels c.. stay zero
+        padded[:k, ..., :c] = y[chunk]
+        np.matmul(xs.reshape(k, 1, -1), padded[:k].reshape(k, -1, 1), out=dots[chunk])
+    return dots.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +290,14 @@ def _kernel_matrix(w: Array) -> Array:
 
 
 _PATCH_BYTES = 8 << 20  # per im2col patch matrix: the fastest of a 1-32 MiB sweep
+_SUM_BYTES = 256 << 10  # per shortcut-sum pass: the fastest of a 256 KiB-8 MiB sweep
 
 
-def _image_chunks(n: int, image_bytes: int) -> Iterator[slice]:
+def _image_chunks(n: int, image_bytes: int, budget: int) -> Iterator[slice]:
     """Slices of a batch of n images, each as many whole images (at least
-    one) as keep a patch matrix of `image_bytes` per image within
-    _PATCH_BYTES, so that the GEMM reads its patches back from cache."""
-    step = max(1, _PATCH_BYTES // image_bytes)
+    one) as keep a transient of `image_bytes` per image within `budget`
+    bytes, so that the pass that reads it back finds it in cache."""
+    step = max(1, budget // image_bytes)
     return (slice(start, start + step) for start in range(0, n, step))
 
 
@@ -296,7 +311,7 @@ def _conv2d_forward_single(x: Array, w: Array) -> Array:
     f_out, _, a, b = w.shape
     wmat = _kernel_matrix(w[:, :c])
     out = np.empty((n, h, width, f_out), dtype=x.dtype)
-    for chunk in _image_chunks(n, h * width * wmat.shape[0] * x.itemsize):
+    for chunk in _image_chunks(n, h * width * wmat.shape[0] * x.itemsize, _PATCH_BYTES):
         np.matmul(_gather_cols(_pad_same(x[chunk], a, b), a, b), wmat,
                   out=out[chunk].reshape(-1, f_out))
     return out
@@ -321,7 +336,7 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array,
     w = w[:, :c]
     if not need_x:
         acc = np.zeros((a * b * c, f_out), dtype=g.dtype)
-        for chunk in _image_chunks(n, h * width * a * b * c * g.itemsize):
+        for chunk in _image_chunks(n, h * width * a * b * c * g.itemsize, _PATCH_BYTES):
             cols = _gather_cols(_pad_same(x[chunk], a, b), a, b)
             acc += cols.T @ g[chunk].reshape(-1, f_out)
         grad_w[:, :c] = acc.reshape(a, b, c, f_out).transpose(3, 2, 0, 1)
@@ -329,7 +344,7 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array,
     wflip = _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     grad_x = np.empty((n, h, width, c), dtype=g.dtype)
     acc = np.zeros((c, a * b * f_out), dtype=g.dtype)
-    for chunk in _image_chunks(n, h * width * wflip.shape[0] * g.itemsize):
+    for chunk in _image_chunks(n, h * width * wflip.shape[0] * g.itemsize, _PATCH_BYTES):
         gcols = _gather_cols(_pad_same(g[chunk], a, b), a, b)
         np.matmul(gcols, wflip, out=grad_x[chunk].reshape(-1, c))
         acc += x[chunk].reshape(-1, c).T @ gcols
@@ -338,28 +353,34 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array,
 
 
 def _conv2d_forward_depthwise(x: Array, w: Array) -> Array:
+    """Depthwise convolution, stride 1, same padding.  An input with C < f
+    channels is read as if zero-padded to f: output channels C.. are zero."""
     n, h, width, c = x.shape
-    _, _, a, b = w.shape
+    f, _, a, b = w.shape
     xp = _pad_same(x, a, b)
-    out = np.zeros((n, h, width, c), dtype=x.dtype)
+    out = np.zeros((n, h, width, f), dtype=x.dtype)
+    body = out[..., :c]
     for i in range(a):
         for j in range(b):
-            out += xp[:, i : i + h, j : j + width] * w[:, 0, i, j]
+            body += xp[:, i : i + h, j : j + width] * w[:c, 0, i, j]
     return out
 
 
 def _conv2d_backward_depthwise(g: Array, x: Array, w: Array,
                                need_x: bool = True) -> tuple[Array | None, Array]:
+    """For an input with C < f channels only g's first C channels are read,
+    and the weights of channels C.. get an exactly zero gradient."""
     n, h, width, c = x.shape
     _, _, a, b = w.shape
     xp = _pad_same(x, a, b)
+    g = g[..., :c]
     grad_w = np.zeros_like(w)
     grad_xp = np.zeros_like(xp)
     for i in range(a):
         for j in range(b):
-            grad_w[:, 0, i, j] = _channel_dot(g, xp[:, i : i + h, j : j + width])
+            grad_w[:c, 0, i, j] = _channel_dot(g, xp[:, i : i + h, j : j + width])
             if need_x:
-                grad_xp[:, i : i + h, j : j + width] += g * w[:, 0, i, j]
+                grad_xp[:, i : i + h, j : j + width] += g * w[:c, 0, i, j]
     if not need_x:
         return None, grad_w
     ph, pw = (a - 1) // 2, (b - 1) // 2
@@ -382,15 +403,14 @@ def _conv_kernels(w: Array, groups: int):
 def conv2d(x: Value, kernel: ConvKernel, *, tape: Tape | None = None) -> Value:
     """Stride-1 classical or depthwise convolution with same padding: an
     a x b kernel sees (a-1)/2 rows and (b-1)/2 columns of zeros on each
-    side, so the output keeps the input's height and width.  A classical
-    conv also takes an input with fewer channels than the kernel's f_in and
-    treats the missing channels as zeros."""
+    side, so the output keeps the input's height and width.  Both
+    groupings take an input with fewer channels than the kernel's f_in and
+    read the missing channels as zeros; the output always has f_out."""
     check_tensor4(x.data)
     c = x.data.shape[3]
-    if c > kernel.f_in or (c < kernel.f_in and kernel.groups != 1):
+    if c > kernel.f_in:
         raise ConfigurationError(
-            f"input has {c} channels but kernel expects "
-            f"{'at most ' if kernel.groups == 1 else ''}{kernel.f_in}"
+            f"input has {c} channels but kernel expects at most {kernel.f_in}"
         )
     x_data, w = x.data, kernel.weights
     forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
@@ -545,7 +565,7 @@ def tanh_act(x: Value, *, tape: Tape | None = None) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Pooling and padding
+# Pooling
 # ---------------------------------------------------------------------------
 
 
@@ -626,29 +646,6 @@ def global_max_pool(x: Value, *, tape: Tape | None = None) -> Value:
     return out
 
 
-def channel_pad(x: Value, target_channels: int, *, tape: Tape | None = None) -> Value:
-    """Embed (N,H,W,C) into (N,H,W,target); the extra channels are zero."""
-    check_tensor4(x.data)
-    n, h, w, c = x.data.shape
-    if target_channels < c:
-        raise ConfigurationError(
-            f"cannot pad {c} channels down to {target_channels}"
-        )
-    if target_channels == c:
-        return x
-    padded = np.zeros((n, h, w, target_channels), dtype=x.data.dtype)
-    padded[..., :c] = x.data
-    out = Value(padded, needs_grad=x.needs_grad)
-    if tape is not None and x.needs_grad:
-        x_slot = x.slot
-
-        def backward(g: Array) -> None:
-            _accumulate(x_slot, g[..., :c])
-
-        tape.record(out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The recursion's shortcut sum
 # ---------------------------------------------------------------------------
@@ -659,10 +656,16 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
     """base + sum_i coeffs[t, i] * lags[i], as one op with one backward.
 
     `coeffs` is either a trained Value, whose row t receives the gradient
-    <g, lags[i]> for each lag used, or a fixed array that receives none.  A constant lag gets no
-    gradient, but its coefficient still does.
-    The terms are summed as (lags[0]*coeffs[t,0] + base) + lags[1]*coeffs[t,1]
-    + ..., in lag order.
+    <g, lags[i]> for each lag used, or a fixed array that receives none.  A
+    constant lag gets no gradient, but its coefficient still does.  A lag
+    may have fewer channels than the base (the model's image x_0): it is
+    read as zero-padded to the base's channels, so it adds into the base's
+    first channels only.
+    The terms are summed as (base + lags[0]*coeffs[t,0]) + lags[1]*coeffs[t,1]
+    + ..., in lag order, a _SUM_BYTES slice of whole images at a time: each
+    slice of the output starts as the base, and each scaled lag passes
+    through one slice-sized scratch, so no temporary is as large as the
+    output.
     """
     trained = isinstance(coeffs, Value)
     table = coeffs.data if trained else coeffs
@@ -670,26 +673,36 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
         raise ConfigurationError(
             f"add_scaled takes 1 to {table.shape[1]} lags, got {len(lags)}"
         )
+    n, h, w, f = base.data.shape
     for lag in lags:
-        if lag.data.shape != base.data.shape:
+        if lag.data.shape[:3] != (n, h, w) or lag.data.shape[3] > f:
             raise ConfigurationError(
                 f"add_scaled shape mismatch: {base.data.shape} vs {lag.data.shape}"
             )
-    scales = table[t, : len(lags)].copy()
-    out_data = lags[0].data * scales[0]
-    out_data += base.data
-    for lag, scale in zip(lags[1:], scales[1:]):
-        out_data += lag.data * scale
+    scales = table[t, : len(lags)].astype(base.data.dtype)
+    out_data = np.empty_like(base.data)
+    scratch = None
+    for chunk in _image_chunks(n, base.data[0].nbytes, _SUM_BYTES):
+        dst = out_data[chunk]
+        dst[...] = base.data[chunk]
+        if scratch is None:
+            scratch = np.empty(dst.size, dtype=dst.dtype)
+        for lag, scale in zip(lags, scales):
+            part = lag.data[chunk]
+            term = scratch[: part.size].reshape(part.shape)
+            np.multiply(part, scale, out=term)
+            dst[..., : part.shape[3]] += term
     out = Value(out_data)
     if tape is not None:
         base_slot = base.slot
         lag_slots = [lag.slot if lag.needs_grad else None for lag in lags]
+        widths = [lag.data.shape[3] for lag in lags]
         lag_data = [lag.data for lag in lags] if trained else []
 
         def backward(g: Array) -> None:
-            for slot, scale in zip(lag_slots, scales):
+            for slot, c, scale in zip(lag_slots, widths, scales):
                 if slot is not None:
-                    _accumulate(slot, scale * g)
+                    _accumulate(slot, scale * g[..., :c])
             if trained:
                 if coeffs.grad is None:
                     coeffs.grad = np.zeros_like(coeffs.data)

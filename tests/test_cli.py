@@ -50,7 +50,20 @@ class TestHelpAndUsage:
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
         assert "(default: None)" not in out
+        assert "(default: )" not in out  # an empty default says what it means
         assert ") (default:" not in " ".join(out.split())
+
+    @pytest.mark.parametrize("command,flag,meaning", [
+        ("plan", "--iterations-list", "just --iterations"),
+        ("plan", "--pools-list", "just --pools"),
+        ("train", "--raw-train", "none; --dataset raw needs it"),
+        ("eval", "--raw-test", "none; --dataset raw needs it"),
+    ], ids=["iterations-list", "pools-list", "raw-train", "raw-test"])
+    def test_empty_defaults_state_their_meaning(self, capsys, command, flag, meaning):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        metavar = flag[2:].replace("-", "_").upper()
+        assert f"{flag} {metavar} (default: {meaning})" in " ".join(out.split())
 
     @pytest.mark.parametrize("command,flag,default", [
         ("count", "--input-size", "32"), ("plan", "--classes", "10"),

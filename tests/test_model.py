@@ -23,7 +23,7 @@ from thriftynet.model import (
     _tensor_shapes,
 )
 from thriftynet.planner import mac_count, make_schedule, param_count
-from thriftynet.tensor import Tape, batchnorm, channel_pad, softmax_cross_entropy, Value
+from thriftynet.tensor import Tape, batchnorm, softmax_cross_entropy, Value
 from thriftynet.training import TrainConfig, train
 
 
@@ -68,7 +68,7 @@ class TestPlainForward:
         model.fc_b.data = np.zeros(3)
         x = random_input(config, n=2, hw=6, dtype=np.float64)
         (x_1,) = model.iterate(x, mode="eval")
-        expected = batchnorm(channel_pad(Value(nhwc(x)), 3), model.bn[0], "eval").data
+        expected = batchnorm(Value(nhwc(x)), model.bn[0], "eval").data
         np.testing.assert_array_equal(x_1.data, expected)
         np.testing.assert_array_equal(
             model.forward(x, mode="eval").data, expected.max(axis=(1, 2))
@@ -300,22 +300,24 @@ class TestImageInput:
     def test_input_gets_no_gradient_and_no_tape_record(self, monkeypatch):
         import thriftynet.model as model_module
 
-        seen = []
+        seen = []  # the input of every conv; the first is the image x_0
+        conv2d = model_module.conv2d
 
         def spy(x, *args, **kwargs):
             seen.append(x)
-            return channel_pad(x, *args, **kwargs)
+            return conv2d(x, *args, **kwargs)
 
-        monkeypatch.setattr(model_module, "channel_pad", spy)
+        monkeypatch.setattr(model_module, "conv2d", spy)
         config = small_config()  # T=4, pool at t=1, h=2
         model = ThriftyNet(config, seed=41)
         tape = Tape()
         logits = model.forward(random_input(config, n=4), mode="train", tape=tape)
         # 4 per iteration (conv, relu, add_scaled, bn), the pools of x_2 and
-        # x_1 at t=1 but not of the padded image x_0, and 2 for the head
+        # x_1 at t=1 but not of the image x_0, and 2 for the head
         assert len(tape) == 4 * 4 + 2 + 2
         tape.backward(logits, np.ones_like(logits.data))
-        (image,) = seen
+        image = seen[0]
+        assert len(seen) == config.iterations and image.shape == (4, 8, 8, 3)
         assert not image.needs_grad and image.grad is None
         assert all(v.grad is not None for _, v in model.trainables())
 

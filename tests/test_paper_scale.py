@@ -97,3 +97,21 @@ def test_paper_eval_forward_gathers_patches_in_small_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 45e6, f"{peak / 1e6:.1f} MB forward peak"
+
+
+def test_paper_eval_forward_holds_one_iteration_of_transients():
+    # An untaped batch-64 forward, traced by tracemalloc after a warm-up.
+    # A 32x32 activation is 16.8 MB here.  Widening the image x_0 to f
+    # channels, a full-size temporary per lag in the shortcut sum, and
+    # keeping the conv output, the activation and the shortcut sum alive
+    # through batch norm and pooling peaked at 113-118 MB.
+    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    x = np.random.default_rng(6).standard_normal((64, 3, 32, 32)).astype(np.float32)
+    model.forward(x, mode="eval")  # warm-up: lazy imports and first-use allocations
+    tracemalloc.start()
+    try:
+        model.forward(x, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6, f"{peak / 1e6:.1f} MB forward peak"

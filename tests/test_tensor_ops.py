@@ -1,6 +1,7 @@
 """Forward oracles and gradient checks for every primitive."""
 
 import ctypes
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,7 +25,6 @@ from thriftynet.tensor import (
     Value,
     add_scaled,
     batchnorm,
-    channel_pad,
     conv2d,
     global_max_pool,
     linear,
@@ -174,8 +174,8 @@ class TestConv2d:
 
 
 class TestNarrowConv:
-    """A classical conv on an input with C < f_in channels equals the conv of
-    that input zero-padded to f_in channels."""
+    """A conv on an input with C < f_in channels equals the conv of that
+    input zero-padded to f_in channels, in both groupings."""
 
     @staticmethod
     def case(a, b, c=2, f_in=5):
@@ -210,10 +210,28 @@ class TestNarrowConv:
         _, want_w = oracle_conv_backward(grad_out, padded, w)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
 
-    def test_depthwise_still_needs_every_channel(self):
-        with pytest.raises(ConfigurationError):
-            conv2d(Value(nhwc(np.zeros((1, 2, 4, 4)))),
-                   kernel(np.zeros((4, 1, 3, 3)), groups=4))
+    @pytest.mark.parametrize("a,b", KERNELS)
+    @pytest.mark.parametrize("needs_grad", [True, False])
+    def test_depthwise_matches_naive_reference_of_padded_input(self, a, b, needs_grad):
+        c, f = 2, 5
+        rng = np.random.default_rng(a * 100 + b * 10 + 1)
+        x = rng.standard_normal((2, c, 6, 7))
+        padded = np.concatenate([x, np.zeros((2, f - c, 6, 7))], axis=1)
+        w = rng.standard_normal((f, 1, a, b))
+        grad_out = nhwc(rng.standard_normal((2, f, 6, 7)))
+        out = nchw(conv(nhwc(x), w, groups=f))
+        np.testing.assert_allclose(out, oracle_conv(padded, w, groups=f), rtol=0, atol=1e-10)
+        assert not out[:, c:].any()
+        image, weights = Value(nhwc(x), needs_grad=needs_grad), Value(w)
+        tape = Tape()
+        tape.backward(conv2d(image, ConvKernel(weights, groups=f), tape=tape), grad_out)
+        want_x, want_w = conv_backward(grad_out, nhwc(padded), w, groups=f)
+        np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
+        assert not weights.grad[c:].any()  # exactly zero past the real channels
+        if needs_grad:
+            np.testing.assert_allclose(image.grad, want_x[..., :c], rtol=0, atol=1e-10)
+        else:
+            assert image.grad is None
 
 
 class _MallInfo2(ctypes.Structure):
@@ -526,6 +544,12 @@ class TestMaxPool:
         tape.backward(out, nhwc(g))
         np.testing.assert_array_equal(nchw(value.grad), want)
 
+    def test_constant_input_records_nothing(self):
+        x = Value(nhwc(np.ones((1, 3, 2, 2))), needs_grad=False)
+        tape = Tape()
+        pooled = maxpool2x2(x, tape=tape)
+        assert len(tape) == 0 and not pooled.needs_grad
+
     def test_finite_differences_distinct_entries(self):
         rng = np.random.default_rng(15)
         base = rng.permutation(16).astype(np.float64).reshape(1, 1, 4, 4)
@@ -568,38 +592,6 @@ class TestGlobalMaxPool:
         out = global_max_pool(x, tape=tape)
         tape.backward(out, np.full((1, 1), 2.0))
         np.testing.assert_array_equal(nchw(x.grad)[0, 0], [[0.0, 2.0], [0.0, 0.0]])
-
-
-class TestChannelPad:
-    def test_identity_when_target_equals_channels(self):
-        x = Value(nhwc(np.ones((1, 3, 2, 2))))
-        assert channel_pad(x, 3) is x
-
-    def test_pads_with_zeros(self):
-        x = Value(nhwc(np.random.default_rng(17).standard_normal((2, 3, 4, 4))))
-        out = nchw(channel_pad(x, 64).data)
-        np.testing.assert_array_equal(out[:, :3], nchw(x.data))
-        assert not out[:, 3:].any()
-
-    def test_backward_is_projection(self):
-        x = Value(nhwc(np.ones((1, 3, 2, 2))))
-        tape = Tape()
-        out = channel_pad(x, 5, tape=tape)
-        seed = np.random.default_rng(18).standard_normal((1, 5, 2, 2))
-        tape.backward(out, nhwc(seed))
-        np.testing.assert_array_equal(nchw(x.grad), seed[:, :3])
-
-    def test_shrinking_rejected(self):
-        with pytest.raises(ConfigurationError):
-            channel_pad(Value(nhwc(np.ones((1, 3, 2, 2)))), 2)
-
-    def test_constant_input_records_nothing(self):
-        x = Value(nhwc(np.ones((1, 3, 2, 2))), needs_grad=False)
-        tape = Tape()
-        out = channel_pad(x, 5, tape=tape)
-        assert len(tape) == 0 and not out.needs_grad
-        pooled = maxpool2x2(out, tape=tape)
-        assert len(tape) == 0 and not pooled.needs_grad
 
 
 class TestLinear:
@@ -735,6 +727,84 @@ class TestArithmeticOps:
             add_scaled(base, [base, base, base], coeffs, 0)  # more lags than columns
         with pytest.raises(ConfigurationError):
             add_scaled(base, [Value(np.ones((1, 1, 3, 3)))], coeffs, 0)
+        with pytest.raises(ConfigurationError):
+            add_scaled(base, [Value(np.ones((1, 1, 2, 3)))], coeffs, 0)  # wider than base
+
+    @staticmethod
+    def narrow_case(dtype):
+        """A base, two lags, a 2-channel lag and that lag zero-padded to the
+        base's 6 channels, coefficients and an output gradient."""
+        c = 2
+        rng = np.random.default_rng(26)
+        shape = (5, 4, 3, 6)
+        base = rng.standard_normal(shape).astype(dtype)
+        lags = [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
+        narrow = rng.standard_normal(shape[:3] + (c,)).astype(dtype)
+        padded = np.zeros(shape, dtype=dtype)
+        padded[..., :c] = narrow
+        coeffs = rng.standard_normal((2, 4)).astype(dtype)
+        seed = rng.standard_normal(shape).astype(dtype)
+        return base, lags, narrow, padded, coeffs, seed
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_add_scaled_narrow_lag_equals_its_zero_padded_self(self, monkeypatch,
+                                                               dtype, position):
+        base, lags, narrow, padded, coeffs, seed = self.narrow_case(dtype)
+        # two images per shortcut-sum slice: two full slices and a one-image tail
+        monkeypatch.setattr(tensor, "_SUM_BYTES", 2 * base[0].nbytes)
+
+        def run(lag):
+            values = [Value(base), *(Value(d) for d in lags), Value(coeffs)]
+            extra = Value(lag)
+            terms = values[1:3]
+            terms.insert(position, extra)
+            tape = Tape()
+            out = add_scaled(values[0], terms, values[-1], 1, tape=tape)
+            tape.backward(out, seed)
+            return [out.data, extra.grad, *(v.grad for v in values)]
+
+        got, want = run(narrow), run(padded)
+        want[1] = want[1][..., : narrow.shape[3]]  # the narrow lag's: g's first channels
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_add_scaled_narrow_lag_finite_differences(self):
+        base, lags, narrow, _, coeffs, seed = self.narrow_case(np.float64)
+        values = [Value(base), Value(lags[0]), Value(narrow), Value(lags[1])]
+        mix = Value(coeffs)
+
+        def run(analytic=True):
+            tape = Tape()
+            out = add_scaled(values[0], values[1:], mix, 1, tape=tape)
+            if not analytic:
+                return (out.data * seed).sum()
+            for v in (*values, mix):
+                v.grad = None
+            tape.backward(out, seed)
+            return [v.grad for v in (*values, mix)]
+
+        grads = run()
+        loss = build_loss_scalar(run)
+        for v, grad in zip((*values, mix), grads):
+            assert max_rel_error(grad, finite_difference(loss, v)) < 1e-6
+
+    def test_add_scaled_holds_no_full_size_temporary(self):
+        # untaped, the output and one slice-sized scratch are all it allocates
+        rng = np.random.default_rng(27)
+        shape = (16, 16, 16, 64)  # 2 MiB per float64 array
+        base = Value(rng.standard_normal(shape))
+        lags = [Value(rng.standard_normal(shape)) for _ in range(3)]
+        lags.append(Value(rng.standard_normal(shape[:3] + (3,))))
+        coeffs = np.ones((1, 4))
+        add_scaled(base, lags, coeffs, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            out = add_scaled(base, lags, coeffs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + tensor._SUM_BYTES + (64 << 10), peak
 
 
 class TestTape:
