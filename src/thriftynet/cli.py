@@ -241,7 +241,7 @@ def _load_datasets(spec):
         train_ds = data_mod.load_raw(spec.raw_train, "train")
         test_ds = data_mod.load_raw(spec.raw_test, "test")
         if train_ds.class_count != test_ds.class_count:
-            test_ds = replace_class_count(test_ds, train_ds.class_count)
+            test_ds = replace(test_ds, class_count=train_ds.class_count)
     else:
         raise ConfigurationError(f"unknown dataset {spec.dataset!r}")
     subset_seed = getattr(spec, "seed", 0)
@@ -250,10 +250,6 @@ def _load_datasets(spec):
     if spec.limit_test:
         test_ds = _limit(test_ds, spec.limit_test, subset_seed + 1)
     return train_ds, test_ds
-
-
-def replace_class_count(ds, class_count: int):
-    return data_mod.ImageDataset(ds.images, ds.labels, ds.split, class_count)
 
 
 def _limit(ds, total: int, seed: int):

@@ -100,10 +100,9 @@ def read_metric_log(path) -> list[tuple]:
     return [tuple(row) for row in rows]
 
 
-def write_matrix_csv(matrix, path, index_name: str = "t",
-                     value_prefix: str = "c") -> None:
+def write_matrix_csv(matrix, path) -> None:
     """T x f matrix with a leading index column."""
-    header = [index_name] + [f"{value_prefix}{j}" for j in range(matrix.shape[1])]
+    header = ["t"] + [f"c{j}" for j in range(matrix.shape[1])]
     rows = [[i, *(float(v) for v in matrix[i])] for i in range(matrix.shape[0])]
     write_csv(path, header, rows)
 

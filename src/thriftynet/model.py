@@ -56,7 +56,10 @@ from .tensor import (
 
 DownsampleSchedule = tuple[int, ...]
 
-CONV_MODES = ("classical", "grouped")
+# the shared conv's trainable names per conv mode, in the order its kernels
+# apply; `_conv_shapes` gives their shapes
+CONV_NAMES = {"classical": ("conv_w",), "grouped": ("conv_dw", "conv_pw")}
+CONV_MODES = tuple(CONV_NAMES)
 ACTIVATIONS = ("relu", "tanh")
 
 
@@ -139,6 +142,15 @@ def _channel_means(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(0, 1, 2), dtype=np.float64).astype(x.dtype)
 
 
+def _conv_shapes(cfg: ThriftyConfig) -> list[tuple[int, int, int, int]]:
+    """Shapes of the shared conv's kernels, (f_out, f_in/groups, a, b), in
+    the order they apply: the classical kernel, or depthwise then pointwise."""
+    f, (a, b) = cfg.filters, cfg.kernel
+    if cfg.conv_mode == "classical":
+        return [(f, f, a, b)]
+    return [(f, 1, a, b), (f, f, 1, 1)]
+
+
 def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
                     fan_out: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -152,16 +164,14 @@ class ThriftyNet:
                  alpha_init: str = "identity"):
         dtype = np.dtype(dtype)
         f, t, k = config.filters, config.iterations, config.num_classes
-        a, b = config.kernel
         rng = np.random.default_rng(seed)
         # Draw order is part of the checkpoint/replay contract: conv weights,
         # FC weights, then alpha, so that the alpha_init choice never shifts
         # the stream behind the shared weights.
-        if config.conv_mode == "classical":
-            conv = [_glorot_uniform(rng, (f, f, a, b), f * a * b, f * a * b, dtype)]
-        else:
-            conv = [_glorot_uniform(rng, (f, 1, a, b), a * b, a * b, dtype),
-                    _glorot_uniform(rng, (f, f, 1, 1), f, f, dtype)]
+        conv = []
+        for shape in _conv_shapes(config):
+            fan = math.prod(shape[1:])
+            conv.append(_glorot_uniform(rng, shape, fan, fan, dtype))
         fc_w = _glorot_uniform(rng, (f, k), f, k, dtype)
         alpha = []
         if config.residual:
@@ -181,56 +191,51 @@ class ThriftyNet:
     def _assemble(self, config: ThriftyConfig, dtype: np.dtype,
                   tensors: list[np.ndarray]) -> None:
         """Adopt `tensors`, in checkpoint file order, as the parameters and BN
-        state; the checkpoint reader builds its model through this alone."""
+        state; the checkpoint reader builds its model through this alone.
+        File order, the order of `state_arrays()`, is the model's one order."""
         self.config, self.dtype = config, dtype
         take = iter(tensors).__next__
-        if config.conv_mode == "classical":
-            self.conv = ConvKernel(Value(take()), groups=1)
-            self.depthwise = self.pointwise = None
-        else:
-            self.conv = None
-            self.depthwise = ConvKernel(Value(take()), groups=config.filters)
-            self.pointwise = ConvKernel(Value(take()), groups=1)
+        # the shared conv's kernels in the order they apply
+        self.kernels = [ConvKernel(Value(take()), groups=shape[0] // shape[1])
+                        for shape in _conv_shapes(config)]
         self.bn = [BatchNormState(Value(take()), Value(take()), take(), take())
                    for _ in range(config.iterations)]
         self.alpha: Value | None = Value(take()) if config.residual else None
         self.fc_w, self.fc_b = Value(take()), Value(take())
 
-    @property
-    def kernels(self) -> list[ConvKernel]:
-        """The shared conv's kernels in the order they apply: the classical
-        kernel, or depthwise then pointwise."""
-        return [self.conv] if self.conv is not None else [self.depthwise, self.pointwise]
-
     # -- parameter bookkeeping ------------------------------------------------
 
-    def trainables(self) -> list[tuple[str, Value]]:
-        """Named trainables in the fixed checkpoint/optimizer order."""
-        params: list[tuple[str, Value]] = []
-        if self.conv is not None:
-            params.append(("conv_w", self.conv.weights))
-        else:
-            params.append(("conv_dw", self.depthwise.weights))
-            params.append(("conv_pw", self.pointwise.weights))
+    def _file_order(self) -> Iterator[tuple[str, Value | np.ndarray]]:
+        """Every array the model owns, named, in checkpoint file order: a
+        Value per trainable, the plain array per BN running statistic.  Read
+        afresh on each call, since callers may rebind `Value.data` and the
+        `BatchNormState` fields."""
+        yield from zip(CONV_NAMES[self.config.conv_mode],
+                       (kernel.weights for kernel in self.kernels))
         for t, state in enumerate(self.bn):
-            params.append((f"gamma_{t}", state.gamma))
-            params.append((f"beta_{t}", state.beta))
+            yield f"gamma_{t}", state.gamma
+            yield f"beta_{t}", state.beta
+            yield f"running_mean_{t}", state.running_mean
+            yield f"running_var_{t}", state.running_var
         if self.alpha is not None:
-            params.append(("alpha", self.alpha))
-        params.append(("fc_w", self.fc_w))
-        params.append(("fc_b", self.fc_b))
-        return params
+            yield "alpha", self.alpha
+        yield "fc_w", self.fc_w
+        yield "fc_b", self.fc_b
+
+    def trainables(self) -> list[tuple[str, Value]]:
+        """Named trainables: `state_arrays()` order without the running
+        stats.  The optimizer's velocities follow this order, in memory and
+        in `last.ckpt`."""
+        return [(name, v) for name, v in self._file_order() if isinstance(v, Value)]
 
     def trainable_count(self) -> int:
         return sum(v.data.size for _, v in self.trainables())
 
     def state_arrays(self) -> list[np.ndarray]:
-        """Every array whose bits define the model: trainables + running stats."""
-        arrays = [v.data for _, v in self.trainables()]
-        for state in self.bn:
-            arrays.append(state.running_mean)
-            arrays.append(state.running_var)
-        return arrays
+        """Every array whose bits define the model, in checkpoint file order:
+        the trainables' data with each iteration's running stats after its
+        gamma and beta.  `serialize_model` writes exactly these."""
+        return [v.data if isinstance(v, Value) else v for _, v in self._file_order()]
 
     # -- forward passes --------------------------------------------------------
 
@@ -334,10 +339,10 @@ def mean_activations(model: ThriftyNet, images: np.ndarray,
 #           num_classes, input_channels
 #   u8 x T  schedule factors
 #
-# then raw tensors in fixed order: conv weights (classical: one tensor;
-# grouped: depthwise then pointwise), per iteration gamma/beta/
-# running_mean/running_var, alpha row-major (residual only), FC weights
-# row-major, FC bias.
+# then the raw tensors of `ThriftyNet.state_arrays()`, in its order: conv
+# weights (classical: one tensor; grouped: depthwise then pointwise), per
+# iteration gamma/beta/running_mean/running_var, alpha row-major (residual
+# only), FC weights row-major, FC bias.
 #
 # A training checkpoint (`last.ckpt`) continues with an optimizer section,
 # which `training.load_train_checkpoint` reads and `load_model` skips:
@@ -359,23 +364,11 @@ _DTYPE_CODES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 def _tensor_shapes(cfg: ThriftyConfig) -> list[tuple[int, ...]]:
     """Shapes of the checkpoint's tensors, in file order."""
-    f, (a, b), t, k = cfg.filters, cfg.kernel, cfg.iterations, cfg.num_classes
-    shapes = [(f, f, a, b)] if cfg.conv_mode == "classical" else [(f, 1, a, b), (f, f, 1, 1)]
-    shapes += [(f,)] * (4 * t)
+    f, t, k = cfg.filters, cfg.iterations, cfg.num_classes
+    shapes = _conv_shapes(cfg) + [(f,)] * (4 * t)
     if cfg.residual:
         shapes.append((t, cfg.history + 1))
     return shapes + [(f, k), (k,)]
-
-
-def _model_tensors(model: ThriftyNet) -> list[np.ndarray]:
-    tensors = [kernel.weights.data for kernel in model.kernels]
-    for state in model.bn:
-        tensors.extend([state.gamma.data, state.beta.data,
-                        state.running_mean, state.running_var])
-    if model.alpha is not None:
-        tensors.append(model.alpha.data)
-    tensors.extend([model.fc_w.data, model.fc_b.data])
-    return tensors
 
 
 def serialize_model(model: ThriftyNet) -> bytes:
@@ -396,7 +389,7 @@ def serialize_model(model: ThriftyNet) -> bytes:
         cfg.input_channels,
     )
     parts = [header, bytes(cfg.schedule)]
-    for tensor in _model_tensors(model):
+    for tensor in model.state_arrays():
         parts.append(np.ascontiguousarray(tensor, dtype=model.dtype).tobytes())
     return b"".join(parts)
 

@@ -176,15 +176,14 @@ class Tape:
                 backward_fn(grad)
 
 
-def check_tensor4(x: Array, name: str = "input") -> Array:
+def check_tensor4(x: Array) -> None:
     if x.ndim != 4:
         raise ConfigurationError(
-            f"{name} must be rank 4, (N,H,W,C) inside the tensor ops or (N,C,H,W) "
+            "input must be rank 4, (N,H,W,C) inside the tensor ops or (N,C,H,W) "
             f"as a model input; got shape {x.shape}"
         )
     if min(x.shape) < 1:
-        raise ConfigurationError(f"{name} has an empty dimension: {x.shape}")
-    return x
+        raise ConfigurationError(f"input has an empty dimension: {x.shape}")
 
 
 def _channel_sum(x: Array) -> Array:

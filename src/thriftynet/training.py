@@ -53,7 +53,6 @@ class TrainConfig:
     flip: bool = True  # horizontal mirroring (used for CIFAR, not digits)
     alpha_reg: AlphaRegConfig | None = None
     steps_per_epoch: int | None = None  # None = one pass over the train split
-    eval_batch_size: int = 500
 
     def __post_init__(self) -> None:
         drops = tuple(self.lr_drops)
@@ -163,14 +162,13 @@ def _epoch_batches(dataset: ImageDataset, config: TrainConfig,
 
 def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
           config: TrainConfig, out_dir=None, freeze_alpha: bool = False,
-          resume_from=None, epoch_hook=None) -> TrainResult:
+          resume_from=None) -> TrainResult:
     """Run the epoch loop; returns the trained model plus its metric log.
 
     With `out_dir` set, metrics.csv, timing.csv, last.ckpt (model +
     optimizer state) and best.ckpt (model only, best test accuracy) are
     maintained after every epoch.  `resume_from` restores a last.ckpt and
     continues; the resumed log reproduces the uninterrupted run.
-    `epoch_hook(row, model)` fires after each epoch's metrics are recorded.
     """
     if train_ds.class_count != model.config.num_classes:
         raise ConfigurationError(
@@ -236,7 +234,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
             correct += int((logits.data.argmax(axis=1) == labels).sum())
             seen += len(labels)
 
-        test_acc = evaluate(model, test_ds, config.eval_batch_size)
+        test_acc = evaluate(model, test_ds)
         final_acc = test_acc
         log.append(MetricRow(
             epoch=epoch,
@@ -296,7 +294,8 @@ def save_train_checkpoint(model: ThriftyNet, opt: SGD, next_epoch: int, lam: flo
 
 
 def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float, float]:
-    """Restore parameters, running stats and velocities in place.
+    """Restore parameters, running stats and velocities in place, from a
+    checkpoint of the model's config and dtype.
 
     All or nothing: the whole file, optimizer section included, is read and
     checked before anything is copied, so a rejected file leaves `model`
@@ -308,6 +307,12 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
         raise CheckpointError(
             f"checkpoint config {restored.config} does not match model "
             f"{model.config}"
+        )
+    if restored.dtype != model.dtype:
+        # copying would round (float64 -> float32) or widen the saved bits, so
+        # the resumed run would not be the uninterrupted one
+        raise CheckpointError(
+            f"checkpoint holds {restored.dtype} arrays, model is {model.dtype}"
         )
     if blob[offset : offset + len(OPT_MAGIC)] != OPT_MAGIC:
         raise CheckpointError("checkpoint has no optimizer-state section")
@@ -321,13 +326,8 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
     velocities = [reader.array(vel.shape, restored.dtype) for vel in opt.velocities]
     if reader.offset != len(blob):
         raise CheckpointError(f"checkpoint has {len(blob) - reader.offset} trailing bytes")
-    for (name, dst), (rname, src) in zip(model.trainables(), restored.trainables()):
-        if name != rname:  # pragma: no cover - orders derive from one config
-            raise CheckpointError(f"parameter order mismatch: {name} vs {rname}")
-        dst.data[...] = src.data
-    for dst_bn, src_bn in zip(model.bn, restored.bn):
-        dst_bn.running_mean[...] = src_bn.running_mean
-        dst_bn.running_var[...] = src_bn.running_var
+    for dst, src in zip(model.state_arrays(), restored.state_arrays()):
+        dst[...] = src
     for dst, src in zip(opt.velocities, velocities):
         dst[...] = src
     return next_epoch, lam, best_acc

@@ -19,7 +19,6 @@ from thriftynet.model import (
     mean_activations,
     save_model,
     serialize_model,
-    _model_tensors,
     _tensor_shapes,
 )
 from thriftynet.planner import mac_count, make_schedule, param_count
@@ -63,7 +62,7 @@ class TestPlainForward:
         config = ThriftyConfig(filters=3, iterations=1, schedule=(1,),
                                num_classes=3, input_channels=3)
         model = ThriftyNet(config, seed=0, dtype=np.float64)
-        model.conv.weights.data[...] = 0.0
+        model.kernels[0].weights.data[...] = 0.0
         model.fc_w.data = np.eye(3)
         model.fc_b.data = np.zeros(3)
         x = random_input(config, n=2, hw=6, dtype=np.float64)
@@ -153,7 +152,7 @@ class TestResidualForward:
     def test_zero_alpha_zero_weights_leave_only_bias(self):
         config = small_config(history=2, activation="relu")
         model = ThriftyNet(config, seed=10)
-        model.conv.weights.data[...] = 0.0
+        model.kernels[0].weights.data[...] = 0.0
         model.alpha.data[...] = 0.0
         model.fc_b.data = np.arange(config.num_classes, dtype=np.float32)
         for seed in (11, 12):
@@ -364,7 +363,7 @@ class TestInitialization:
         # f=34 gives 34*34*9 > 10^4 draws from the symmetric uniform law
         config = ThriftyConfig(filters=34, iterations=2, schedule=(1, 1))
         model = ThriftyNet(config, seed=18)
-        weights = model.conv.weights.data
+        weights = model.kernels[0].weights.data
         assert weights.size >= 10_000
         assert abs(weights.mean()) < 0.01
 
@@ -372,8 +371,8 @@ class TestInitialization:
         config = small_config(history=2)
         identity = ThriftyNet(config, seed=19, alpha_init="identity")
         uniform = ThriftyNet(config, seed=19, alpha_init="uniform")
-        np.testing.assert_array_equal(identity.conv.weights.data,
-                                      uniform.conv.weights.data)
+        np.testing.assert_array_equal(identity.kernels[0].weights.data,
+                                      uniform.kernels[0].weights.data)
         np.testing.assert_array_equal(identity.fc_w.data, uniform.fc_w.data)
         assert (uniform.alpha.data != identity.alpha.data).any()
 
@@ -403,7 +402,7 @@ class TestMeanActivations:
         config = ThriftyConfig(filters=5, iterations=3, schedule=(1, 1, 1),
                                num_classes=4, input_channels=3)
         model = ThriftyNet(config, seed=22, dtype=np.float64)
-        model.conv.weights.data[...] = 0.0
+        model.kernels[0].weights.data[...] = 0.0
         images = random_input(config, n=6, hw=5, seed=23, dtype=np.float64)
         matrix = mean_activations(model, images)
         padded_means = np.zeros(5)
@@ -434,7 +433,28 @@ class TestCheckpoints:
     def test_header_predicts_tensor_shapes(self, conv_mode, history):
         config = small_config(history=history, conv_mode=conv_mode)
         model = ThriftyNet(config, seed=26)
-        assert _tensor_shapes(config) == [t.shape for t in _model_tensors(model)]
+        assert _tensor_shapes(config) == [t.shape for t in model.state_arrays()]
+
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_one_file_order_behind_trainables_state_and_bytes(self, conv_mode):
+        config = small_config(history=2, conv_mode=conv_mode)
+        model = ThriftyNet(config, seed=26)
+        model.forward(random_input(config, seed=27), mode="train")
+        # rebinding, as a model copier does, must show in the next walk
+        model.fc_w.data = model.fc_w.data.copy()
+        model.bn[1].running_var = model.bn[1].running_var + 1.0
+        state = model.state_arrays()
+        running = [a for s in model.bn for a in (s.running_mean, s.running_var)]
+        assert all(any(a is r for a in state) for r in running)
+        # trainables() is state_arrays() without the running stats, as the
+        # same array objects in the same order
+        assert [id(v.data) for _, v in model.trainables()] == \
+            [id(a) for a in state if not any(a is r for r in running)]
+        assert len(state) == len(model.trainables()) + 2 * config.iterations
+        blob = serialize_model(model)
+        assert _HEADER.unpack(blob[:_HEADER.size])[0] == CHECKPOINT_MAGIC
+        assert blob[_HEADER.size:] == \
+            bytes(config.schedule) + b"".join(a.tobytes() for a in state)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

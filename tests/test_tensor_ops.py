@@ -371,7 +371,7 @@ class TestGroupedConv:
         x = np.random.default_rng(3).standard_normal((2, f, 7, 7))
         (x_1,) = model.iterate(x, mode="eval")
         x_0 = Value(nhwc(x))
-        staged = relu(conv2d(conv2d(x_0, model.depthwise), model.pointwise))
+        staged = relu(conv2d(conv2d(x_0, model.kernels[0]), model.kernels[1]))
         staged = batchnorm(add_scaled(staged, [x_0], np.ones((1, 1)), 0), model.bn[0], "eval")
         np.testing.assert_array_equal(x_1.data, staged.data)
 

@@ -23,6 +23,7 @@ from thriftynet.training import (
     evaluate,
     load_train_checkpoint,
     lr_at,
+    save_train_checkpoint,
     train,
     _atomic_write,
 )
@@ -317,6 +318,23 @@ class TestResume:
         opt = SGD(other.trainables())
         with pytest.raises(CheckpointError):
             load_train_checkpoint(tmp_path / "last.ckpt", other, opt)
+
+    @pytest.mark.parametrize("saved, target", [(np.float64, np.float32),
+                                               (np.float32, np.float64)])
+    def test_resume_checkpoint_dtype_must_match(self, tmp_path, saved, target):
+        # loading float64 arrays into float32 would round them (1/3 becomes
+        # 0.33333334), so the resumed run would not be the uninterrupted one
+        source = ThriftyNet(tiny_model_config(), seed=15, dtype=saved)
+        source_opt = SGD(source.trainables())
+        for a in source.state_arrays() + source_opt.velocities:
+            a[...] = 1.0 / 3.0
+        save_train_checkpoint(source, source_opt, 1, 0.0, 10.0, tmp_path / "last.ckpt")
+        model = ThriftyNet(tiny_model_config(), seed=15, dtype=target)
+        opt = SGD(model.trainables())
+        before = [a.tobytes() for a in model.state_arrays() + opt.velocities]
+        with pytest.raises(CheckpointError, match="float"):
+            load_train_checkpoint(tmp_path / "last.ckpt", model, opt)
+        assert [a.tobytes() for a in model.state_arrays() + opt.velocities] == before
 
     def test_rejected_checkpoint_changes_nothing(self, tiny_pair, tmp_path):
         train_ds, test_ds = tiny_pair

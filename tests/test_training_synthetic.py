@@ -28,6 +28,7 @@ def sixty_four_samples(dataset) -> ImageDataset:
                         "train", dataset.class_count)
 
 
+@pytest.mark.slow
 def test_capacity_overfits_64_samples(synth_pair):
     """Twin of acceptance 5: a small residual model memorizes 64 samples."""
     train_full, _ = synth_pair
@@ -40,6 +41,7 @@ def test_capacity_overfits_64_samples(synth_pair):
     assert evaluate(model, subset) == 100.0
 
 
+@pytest.mark.slow
 def test_learning_signal_at_fixed_budget(synth_pair):
     """Twin of acceptance 6: budget-solved model learns the held-out split.
 
@@ -55,6 +57,7 @@ def test_learning_signal_at_fixed_budget(synth_pair):
     assert result.best_test_acc >= 80.0, f"best {result.best_test_acc:.2f}%"
 
 
+@pytest.mark.slow
 def test_annealed_penalty_pulls_alpha_to_wells(synth_pair):
     """Twin of acceptance 7b, with the annealing step count compressed by a
     larger eps (the published eps needs ~75k steps before the penalty
