@@ -22,6 +22,16 @@ weights as (f_out, f_in, a, b).  Inside, `iterate` transposes the image once
 to channels-last (N, H, W, C), the layout of every tensor op, and the
 recursion never leaves it: the x_{t+1} it yields are (N, H, W, f).
 
+Eval forwards without a tape run in image chunks.  Eval-mode BN, the
+activation, the shortcut sum and the global max pool each treat one image
+on its own, so `forward` runs the recursion over chunks of at least
+`EVAL_CHUNK` whole images, keeping one chunk's activations alive instead of
+the batch's, and applies the head once to the whole batch's pooled features.
+Chunks of 64 or more images keep every conv GEMM off OpenBLAS's
+short-matrix kernel, and one head GEMM keeps the 100-class head's bits, so
+the logits equal an unchunked pass's bit for bit.  Train-mode and taped
+forwards stay one pass, since BN's batch statistics need the whole batch.
+
 Instrumentation lives here, not in the ops: `iterate` yields every x_{t+1},
 which `forward` drains and `mean_activations` reads, and `forward` fills a
 `MacTally` from the resolutions and weight counts it already knows.
@@ -37,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, DataError
 from .tensor import (
     BatchNormState,
     ConvKernel,
@@ -61,6 +71,9 @@ DownsampleSchedule = tuple[int, ...]
 CONV_NAMES = {"classical": ("conv_w",), "grouped": ("conv_dw", "conv_pw")}
 CONV_MODES = tuple(CONV_NAMES)
 ACTIVATIONS = ("relu", "tanh")
+# fewest images per eval chunk: OpenBLAS sgemm gives a short matrix's rows
+# other bits than the same rows of a tall one, and 64 rows are tall enough
+EVAL_CHUNK = 64
 
 
 def validate_schedule(schedule, iterations: int) -> DownsampleSchedule:
@@ -140,6 +153,14 @@ def _channel_means(x: np.ndarray) -> np.ndarray:
     """Per-channel mean of a channels-last activation, accumulated in float64
     (a float32 sum over the leading axes adds every value in sequence)."""
     return x.mean(axis=(0, 1, 2), dtype=np.float64).astype(x.dtype)
+
+
+def _eval_chunks(n: int) -> list[slice]:
+    """max(1, n // EVAL_CHUNK) contiguous slices that cover n images, sizes
+    differing by at most one: 64-127 images each when n >= 64."""
+    k = max(1, n // EVAL_CHUNK)
+    bounds = [n * i // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _conv_shapes(cfg: ThriftyConfig) -> list[tuple[int, int, int, int]]:
@@ -292,36 +313,51 @@ class ThriftyNet:
     def forward(self, x: np.ndarray, mode: str = "train", tape: Tape | None = None,
                 tally: MacTally | None = None) -> Value:
         """Run the recursion on (N, C, H, W) images; returns the (N, K) class
-        scores as a Value.  A `tally` gets this pass's MACs added."""
-        positions = []  # N*H*W of x_1 .. x_T
-        for cur in self.iterate(x, mode, tape):
-            positions.append(cur.data[..., 0].size)
-        pooled = global_max_pool(cur, tape=tape)
+        scores as a Value.  A `tally` gets this pass's MACs added.
+
+        An eval forward without a tape runs the recursion over chunks of
+        64-127 images, so that one chunk's activations are alive at a time
+        and every conv GEMM is tall enough for OpenBLAS to give the rows an
+        unchunked pass gives; it applies the head once, to the whole batch's
+        pooled features, since the 100-class head GEMM rounds differently on
+        fewer rows.  Train-mode and taped forwards are one pass over the
+        batch: BN's batch statistics and the backward need all of it."""
+        n = x.shape[0]
+        chunks = _eval_chunks(n) if mode == "eval" and tape is None else [slice(0, n)]
+        pooled = []
+        for chunk in chunks:
+            grids = []  # H*W of x_1 .. x_T
+            for cur in self.iterate(x[chunk], mode, tape):
+                grids.append(cur.data.shape[1] * cur.data.shape[2])
+            pooled.append(global_max_pool(cur, tape=tape))
+        features = pooled[0] if len(pooled) == 1 else Value(
+            np.concatenate([p.data for p in pooled]))
         if tally is not None:
             # iteration t convolves x_t at the resolution x_t has
             weights = sum(kernel.weight_count for kernel in self.kernels)
-            tally.per_iteration += [p * weights for p in [x[:, 0].size, *positions[:-1]]]
-            tally.head += pooled.data.shape[0] * self.fc_w.data.size
-        return linear(pooled, self.fc_w, self.fc_b, tape=tape)
+            inputs = [x.shape[2] * x.shape[3], *grids[:-1]]  # H*W of x_0 .. x_{T-1}
+            tally.per_iteration += [n * g * weights for g in inputs]
+            tally.head += n * self.fc_w.data.size
+        return linear(features, self.fc_w, self.fc_b, tape=tape)
 
 
-def mean_activations(model: ThriftyNet, images: np.ndarray,
-                     batch_size: int = 256) -> np.ndarray:
+def mean_activations(model: ThriftyNet, images: np.ndarray) -> np.ndarray:
     """(T, f) matrix: mean of x_{t+1} per channel over a dataset, eval mode.
 
-    Spatial resolutions differ across iterations, so each row is the mean
-    over batch and its own spatial grid, weighted by sample count across
-    batches.
+    The images run in the eval forward's chunks.  Spatial resolutions differ
+    across iterations, so each row is the mean over images and its own
+    spatial grid, weighted by image count across chunks.
     """
+    n = images.shape[0]
+    if n == 0:
+        raise DataError("mean_activations needs at least one image, got 0")
     cfg = model.config
     total = np.zeros((cfg.iterations, cfg.filters), dtype=np.float64)
-    seen = 0
-    for start in range(0, images.shape[0], batch_size):
-        chunk = images[start : start + batch_size]
-        means = [_channel_means(x.data) for x in model.iterate(chunk, mode="eval")]
-        total += chunk.shape[0] * np.stack(means)
-        seen += chunk.shape[0]
-    return (total / seen).astype(model.dtype)
+    for chunk in _eval_chunks(n):
+        part = images[chunk]
+        means = [_channel_means(x.data) for x in model.iterate(part, mode="eval")]
+        total += part.shape[0] * np.stack(means)
+    return (total / n).astype(model.dtype)
 
 
 # ---------------------------------------------------------------------------

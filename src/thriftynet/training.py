@@ -123,7 +123,12 @@ def alpha_well_distance(alpha: np.ndarray) -> float:
 
 
 def evaluate(model: ThriftyNet, dataset: ImageDataset, batch_size: int = 500) -> float:
-    """Eval-mode accuracy in percent over a dataset."""
+    """Eval-mode accuracy in percent over a dataset.
+
+    `batch_size` bounds only the batch that `batches` hands over, its images
+    and logits: the forward runs each batch in chunks of 64-127 images, so
+    the activations held at once do not grow with it.
+    """
     _require_images(dataset)
     correct = 0
     for images, labels in batches(dataset, batch_size, shuffle=False, augment=False):

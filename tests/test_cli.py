@@ -392,6 +392,25 @@ class TestExportActivations:
         assert len(rows) == 3            # iterations
         assert len(header) == 1 + 6      # index + filters
 
+    def test_empty_train_split_exits_3(self, capsys, tmp_path):
+        # a mean over no images once wrote a CSV of NaNs and exited 0
+        from thriftynet.data import save_raw
+        from thriftynet.model import ThriftyConfig, ThriftyNet, save_model
+
+        empty, test = tmp_path / "empty.rawt", tmp_path / "test.rawt"
+        save_raw(empty, np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64))
+        save_raw(test, np.zeros((2, 3, 8, 8), np.float32), np.zeros(2, np.int64))
+        checkpoint = tmp_path / "model.ckpt"
+        save_model(ThriftyNet(ThriftyConfig(filters=4, iterations=2, schedule=(1, 2))),
+                   checkpoint)
+        matrix_path = tmp_path / "acts.csv"
+        code, _, err = run(capsys, "export-activations", "--checkpoint", str(checkpoint),
+                           "--dataset", "raw", "--raw-train", str(empty),
+                           "--raw-test", str(test), "--out", str(matrix_path))
+        assert code == 3
+        assert "at least one image" in err
+        assert not matrix_path.exists()
+
 
 class TestAblate:
     def test_desk_scale_report(self, capsys, raw_dataset_files, tmp_path):

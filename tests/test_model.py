@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _layout import nhwc
-from thriftynet.errors import CheckpointError, ConfigurationError
+from thriftynet.errors import CheckpointError, ConfigurationError, DataError
 from thriftynet.gradcheck import check_model_gradients, finite_difference, max_rel_error
 from thriftynet.model import (
     _HEADER,
@@ -22,7 +22,14 @@ from thriftynet.model import (
     _tensor_shapes,
 )
 from thriftynet.planner import mac_count, make_schedule, param_count
-from thriftynet.tensor import Tape, batchnorm, softmax_cross_entropy, Value
+from thriftynet.tensor import (
+    Tape,
+    Value,
+    batchnorm,
+    global_max_pool,
+    linear,
+    softmax_cross_entropy,
+)
 from thriftynet.training import TrainConfig, train
 
 
@@ -393,8 +400,15 @@ class TestMeanActivations:
         config = small_config(history=2)
         model = ThriftyNet(config, seed=20)
         images = random_input(config, n=9, seed=21)
-        matrix = mean_activations(model, images, batch_size=4)
+        matrix = mean_activations(model, images)
         assert matrix.shape == (config.iterations, config.filters)
+
+    def test_no_images_is_a_data_error(self):
+        # a mean over no images would be 0/0: NaN rows and a RuntimeWarning
+        config = small_config()
+        images = random_input(config, n=1)[:0]
+        with pytest.raises(DataError, match="at least one image"):
+            mean_activations(ThriftyNet(config, seed=20), images)
 
     def test_zero_weight_network_rows(self):
         # W = 0, identity BN stats: iteration t shrinks x_0 by 1/sqrt(1+eps)
@@ -411,6 +425,57 @@ class TestMeanActivations:
         for t, row in enumerate(matrix):
             np.testing.assert_allclose(row, padded_means * scale ** (t + 1),
                                        rtol=1e-10, atol=1e-15)
+
+
+def paper_shape(conv_mode: str, num_classes: int) -> ThriftyConfig:
+    """The paper's 40K-parameter net in either conv mode."""
+    return ThriftyConfig(filters={"classical": 64, "grouped": 176}[conv_mode],
+                         iterations=15, schedule=make_schedule(15, 4), history=5,
+                         conv_mode=conv_mode, num_classes=num_classes)
+
+
+class TestChunkedEval:
+    """An untaped eval forward runs the recursion in chunks of 64-127 images
+    and applies the head once; 16x16 inputs keep these tests fast and bring
+    the last iterations' conv GEMMs down to one row per image."""
+
+    @pytest.mark.parametrize("num_classes", [10, 100])
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_chunked_equals_one_pass(self, conv_mode, num_classes):
+        # 150 images run as two chunks of 75; the 100-class head GEMM gives
+        # other bits on any fewer rows than the whole batch
+        model = ThriftyNet(paper_shape(conv_mode, num_classes), seed=1,
+                           alpha_init="uniform")
+        x = random_input(model.config, n=150, hw=16, seed=2)
+        model.forward(x, mode="train")  # running stats that are not the identity
+        for cur in model.iterate(x, mode="eval"):
+            pass
+        whole = linear(global_max_pool(cur), model.fc_w, model.fc_b).data
+        np.testing.assert_array_equal(model.forward(x, mode="eval").data, whole)
+
+    @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
+    def test_logits_do_not_depend_on_the_batch(self, conv_mode):
+        model = ThriftyNet(paper_shape(conv_mode, 10), seed=3, alpha_init="uniform")
+        x = random_input(model.config, n=200, hw=16, seed=4)
+        full = model.forward(x, mode="eval").data  # chunks of 66, 67, 67
+        for lo, hi in ((0, 64), (30, 130), (70, 200)):
+            np.testing.assert_array_equal(model.forward(x[lo:hi], mode="eval").data,
+                                          full[lo:hi], err_msg=f"images {lo}:{hi}")
+
+    def test_train_and_taped_forwards_are_one_pass(self):
+        # train-mode BN normalizes by the whole batch's statistics, and a
+        # backward needs one record per op over the whole batch
+        x = random_input(small_config(), n=130, seed=6)
+        model = ThriftyNet(small_config(), seed=5)
+        for cur in model.iterate(x, mode="train"):
+            pass
+        whole = linear(global_max_pool(cur), model.fc_w, model.fc_b).data
+        model = ThriftyNet(small_config(), seed=5)  # the running stats afresh
+        np.testing.assert_array_equal(model.forward(x, mode="train").data, whole)
+        tapes = Tape(), Tape()
+        model.forward(x, mode="eval", tape=tapes[0])
+        model.forward(x[:2], mode="eval", tape=tapes[1])
+        assert len(tapes[0]) == len(tapes[1])
 
 
 class TestCheckpoints:

@@ -1,6 +1,6 @@
 """The paper's CIFAR-10 net (f=64, T=15, h=5, 4 pools): float32 gradients
 against float64 ones, the structure of its tape, and the memory one
-training step holds."""
+training step and one eval forward hold."""
 
 import tracemalloc
 
@@ -115,3 +115,19 @@ def test_paper_eval_forward_holds_one_iteration_of_transients():
     finally:
         tracemalloc.stop()
     assert peak <= 80e6, f"{peak / 1e6:.1f} MB forward peak"
+
+
+def test_paper_eval_forward_runs_in_image_chunks():
+    # An untaped batch-500 forward, traced by tracemalloc after a warm-up.
+    # One pass over the whole batch held 500 images' activations and
+    # peaked at 531 MB; chunks of 71-72 images peak at about 77 MB.
+    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    x = np.random.default_rng(7).standard_normal((500, 3, 32, 32)).astype(np.float32)
+    model.forward(x[:64], mode="eval")  # warm-up: lazy imports and first-use allocations
+    tracemalloc.start()
+    try:
+        model.forward(x, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6, f"{peak / 1e6:.1f} MB forward peak"

@@ -85,7 +85,9 @@ class TestMacCount:
         model = ThriftyNet(config, seed=seed)
         x = rng.standard_normal((1, config.input_channels, hw, hw)).astype(np.float32)
         expected = mac_count(config, (hw, hw))
-        for n in (1, 3):  # the tally counts the batch, mac_count one sample
+        # the tally counts the batch, mac_count one sample; an eval forward
+        # runs 130 images as two chunks
+        for n in (1, 3, 130):
             tally = MacTally()
             model.forward(np.repeat(x, n, axis=0), mode="eval", tally=tally)
             assert tuple(tally.per_iteration) == tuple(n * m for m in expected.per_iteration)
