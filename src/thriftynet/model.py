@@ -292,22 +292,26 @@ class ThriftyNet:
         # history[i] = x_{t-i}, newest first.  x_0 is the image itself, read
         # as zero-padded to f channels: the conv and the shortcut sum treat
         # the channels it lacks as zeros
-        cur = Value(self._check_input(x), needs_grad=False)
-        history = [cur]
+        history = [Value(self._check_input(x), needs_grad=False)]
         # the plain net's lag-0 coefficient is a fixed 1 that is never trained
         alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
         for t in range(cfg.iterations):
-            # nested, so that the conv output, the activation and the shortcut
-            # sum are each freed once the next op has read them
-            cur = batchnorm(
-                add_scaled(self._activate(self._conv_step(cur, tape), tape),
-                           history, alpha, t, tape=tape),
-                self.bn[t], mode, tape=tape)
-            keep = history[: cfg.history]  # entries still reachable next step
-            if cfg.schedule[t] == 2:
+            # nested, and `summed` dropped once BN has read it, so that the
+            # conv output, the activation and the shortcut sum are each freed
+            # once the next op has read them
+            summed = add_scaled(self._activate(self._conv_step(history[0], tape), tape),
+                                history, alpha, t, tape=tape)
+            history = history[: cfg.history]  # entries still reachable next step
+            pool = cfg.schedule[t] == 2
+            if pool:
+                # before BN, so that the full-size lags are freed before BN
+                # allocates its xhat and output
+                history = [maxpool2x2(h, tape=tape) for h in history]
+            cur = batchnorm(summed, self.bn[t], mode, tape=tape)
+            del summed
+            if pool:
                 cur = maxpool2x2(cur, tape=tape)
-                keep = [maxpool2x2(h, tape=tape) for h in keep]
-            history = [cur, *keep]
+            history = [cur, *history]
             yield cur
 
     def forward(self, x: np.ndarray, mode: str = "train", tape: Tape | None = None,

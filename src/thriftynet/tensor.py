@@ -14,13 +14,18 @@ shrinks an activation.  Every primitive comes as a forward plus an
 analytic backward; recording ops on a Tape while running forward and
 replaying the records in reverse accumulates gradients into every `Value`
 that contributed, parameters included.  A record keeps only what its
-backward reads: the gradient slots of its inputs, not the inputs, and no
-patch matrix.  The classical conv gathers its im2col patch matrix as a
-transient in the forward, a few whole images (about 8 MiB of patches) at
-a time, so that its GEMM reads the patches back from cache, not from
-DRAM; its backward works through g in the same chunks, and takes the
-weight gradient from the patch matrix of g that it gathers for the input
-gradient anyway.
+backward reads, and each activation once: the gradient slots of its
+inputs, not the inputs, no patch matrix, and ReLU's mask at one bit per
+value.  A backward that reads an input keeps `Value.rows()` of it, so a
+train-mode batch-norm output, which the conv's weight gradient and the
+shortcut sum's coefficient gradient read, is rebuilt a few images at a
+time from the xhat that batch norm's backward keeps, not kept beside it
+(the rule that makes this sound is in the Tape docstring).  The classical
+conv gathers its im2col patch matrix as a transient in the forward, a few
+whole images (about 8 MiB of patches) at a time, so that its GEMM reads
+the patches back from cache, not from DRAM; its backward works through g
+in the same chunks, and takes the weight gradient from the patch matrix of
+g that it gathers for the input gradient anyway.
 
 Each gradient array has one owner (the rule is in the Tape docstring), so
 ReLU, tanh and batch norm build their input gradient in the g they are
@@ -90,19 +95,33 @@ class Value:
     The gradient lives in a small slot of its own, `slot`, and `grad` reads
     and writes it.  Backward closures capture the slots of their inputs, not
     the inputs themselves, so an activation that no backward reads is freed
-    as soon as the forward drops it.
+    as soon as the forward drops it.  A backward that does read an input's
+    data keeps `rows()` of it, not `data`: for a taped train-mode batch-norm
+    output, whose `affine` holds the (xhat, gamma, beta) that batch norm's
+    own backward keeps anyway, that is a reader which rebuilds the rows it
+    is asked for, so the output itself is freed with the forward's last
+    reference too.
 
     A Value made with `needs_grad=False` is a constant, the model's input
-    image: `maxpool2x2` of it records nothing and returns a constant, and
-    `conv2d` and `add_scaled` compute no gradient for it.
+    image or a frozen coefficient table: `maxpool2x2` of it records nothing
+    and returns a constant, and `conv2d` and `add_scaled` compute no
+    gradient for it.
     """
 
-    __slots__ = ("data", "slot", "needs_grad")
+    __slots__ = ("data", "slot", "needs_grad", "affine")
 
-    def __init__(self, data: Array, needs_grad: bool = True):
+    def __init__(self, data: Array, needs_grad: bool = True,
+                 affine: tuple[Array, Array, Array] | None = None):
         self.data = np.ascontiguousarray(data)
         self.slot = _GradSlot()
         self.needs_grad = needs_grad
+        self.affine = affine
+
+    def rows(self) -> Array | _AffineRows:
+        """What a backward keeps to read this Value's data, indexed by a
+        slice of images: `data` itself, or, for a Value with `affine` =
+        (xhat, gamma, beta), a reader that rebuilds xhat * gamma + beta."""
+        return self.data if self.affine is None else _AffineRows(*self.affine)
 
     @property
     def grad(self) -> Array | None:
@@ -118,6 +137,31 @@ class Value:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Value(shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+class _AffineRows:
+    """Rows of a train-mode batch norm's output, rebuilt on demand as
+    xhat[rows] * gamma + beta: the forward's own two ops in the forward's
+    order, so the rows equal the output's bits.  Each read is written into
+    one scratch, reused across reads and sized by the first, so it stays
+    valid only until the next read."""
+
+    __slots__ = ("xhat", "gamma", "beta", "shape", "_scratch")
+
+    def __init__(self, xhat: Array, gamma: Array, beta: Array):
+        self.xhat, self.gamma, self.beta = xhat, gamma, beta
+        self.shape = xhat.shape
+        self._scratch: Array | None = None
+
+    def __getitem__(self, images: slice) -> Array:
+        xhat = self.xhat[images]
+        k = len(xhat)
+        if self._scratch is None or len(self._scratch) < k:
+            self._scratch = np.empty_like(xhat)
+        out = self._scratch[:k]
+        np.multiply(xhat, self.gamma, out=out)
+        out += self.beta
+        return out
 
 
 def _accumulate(slot: _GradSlot, g: Array) -> None:
@@ -145,6 +189,12 @@ class Tape:
     array it passes to `_accumulate` goes to one slot only, so no slot
     copies what it gets.  The seed is copied, so the caller's array is
     never written.
+
+    Rebuilt rows: a train-mode batch norm's backward spends its saved xhat
+    in place, and the readers that `Value.rows()` hands out for its output
+    read that xhat.  This is sound because every consumer of an output is
+    recorded after the op that made it, so each consumer's backward, the
+    only place a reader is read, runs before the batch norm's backward.
     """
 
     def __init__(self) -> None:
@@ -200,25 +250,26 @@ def _channel_dot(x: Array, y: Array) -> Array:
     return np.einsum("nhwc,nhwc->nc", x, y).sum(axis=0)
 
 
-def _dot(x: Array, y: Array) -> Array:
+def _dot(x: Array, y: Array | _AffineRows) -> Array:
     """<x, y> of two (N,H,W,C) arrays: one dot product per image, then their
     sum; at 128x32x32x64 float32 a single dot over all the values is about
-    40 times less accurate.  A y with fewer channels than x is read as
-    zero-padded to x's channels: it is padded one _image_chunks slice at a
-    time in a scratch, since a dot over y's own channels alone would round
+    40 times less accurate.  y is `Value.rows()` of an input, read one
+    _image_chunks slice at a time, so a rebuilt y is never whole.  A y with
+    fewer channels than x is read as zero-padded to x's channels, in a
+    scratch, since a dot over y's own channels alone would round
     differently from the dot with its padded self."""
     n, c = x.shape[0], y.shape[3]
-    if c == x.shape[3]:
-        return (x.reshape(n, 1, -1) @ y.reshape(n, -1, 1)).sum()
     dots = np.empty((n, 1, 1), dtype=x.dtype)
     padded = None
     for chunk in _image_chunks(n, x[0].nbytes, _SUM_BYTES):
-        xs = x[chunk]
+        xs, ys = x[chunk], y[chunk]
         k = len(xs)
-        if padded is None:
-            padded = np.zeros_like(xs)  # channels c.. stay zero
-        padded[:k, ..., :c] = y[chunk]
-        np.matmul(xs.reshape(k, 1, -1), padded[:k].reshape(k, -1, 1), out=dots[chunk])
+        if c < x.shape[3]:
+            if padded is None:
+                padded = np.zeros_like(xs)  # channels c.. stay zero
+            padded[:k, ..., :c] = ys
+            ys = padded[:k]
+        np.matmul(xs.reshape(k, 1, -1), ys.reshape(k, -1, 1), out=dots[chunk])
     return dots.sum()
 
 
@@ -325,7 +376,8 @@ def _conv2d_backward_single(g: Array, x: Array, w: Array,
     of g at a time.  That patch matrix also gives grad_w:
     gcols[(n,h,w), (i,j,o)] = g[n, h+i-(a-1)/2, w+j-(b-1)/2, o], so the sum
     over chunks of x.T @ gcols holds kernel tap (i, j) at (a-1-i, b-1-j),
-    flipped back once at the end.  A constant input has no gcols, so its
+    flipped back once at the end; x is `Value.rows()` of the input, read
+    in the same chunks.  A constant input has no gcols, so its
     grad_w sums cols.T @ g over chunks of re-gathered patches of x, narrow
     for the image.  For an input with C < f_in channels the weights past
     channel C get an exactly zero gradient."""
@@ -368,10 +420,12 @@ def _conv2d_forward_depthwise(x: Array, w: Array) -> Array:
 def _conv2d_backward_depthwise(g: Array, x: Array, w: Array,
                                need_x: bool = True) -> tuple[Array | None, Array]:
     """For an input with C < f channels only g's first C channels are read,
-    and the weights of channels C.. get an exactly zero gradient."""
+    and the weights of channels C.. get an exactly zero gradient.  x is
+    `Value.rows()` of the input, read whole, since the shifted windows span
+    the batch: the one backward that rebuilds a whole batch-norm output."""
     n, h, width, c = x.shape
     _, _, a, b = w.shape
-    xp = _pad_same(x, a, b)
+    xp = _pad_same(x[:], a, b)
     g = g[..., :c]
     grad_w = np.zeros_like(w)
     grad_xp = np.zeros_like(xp)
@@ -411,14 +465,14 @@ def conv2d(x: Value, kernel: ConvKernel, *, tape: Tape | None = None) -> Value:
         raise ConfigurationError(
             f"input has {c} channels but kernel expects at most {kernel.f_in}"
         )
-    x_data, w = x.data, kernel.weights
+    w = kernel.weights
     forward, backward_kernel = _conv_kernels(w.data, kernel.groups)
-    out = Value(forward(x_data, w.data))
+    out = Value(forward(x.data, w.data))
     if tape is not None:
-        need_x, x_slot = x.needs_grad, x.slot
+        x_rows, need_x, x_slot = x.rows(), x.needs_grad, x.slot
 
         def backward(g: Array) -> None:
-            gx, gw = backward_kernel(g, x_data, w.data, need_x)
+            gx, gw = backward_kernel(g, x_rows, w.data, need_x)
             if need_x:
                 _accumulate(x_slot, gx)
             _accumulate(w.slot, gw)
@@ -498,7 +552,9 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
         xhat *= inv_std
         out_data = xhat * gamma.data
         out_data += beta.data
-        out = Value(out_data)
+        # taped, the output can be rebuilt from what the backward keeps
+        affine = None if tape is None else (xhat, gamma.data, beta.data)
+        out = Value(out_data, affine=affine)
         rho = state.momentum
         state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
         state.running_var[:] = (1.0 - rho) * state.running_var + rho * var * (m / (m - 1))
@@ -540,10 +596,11 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
 def relu(x: Value, *, tape: Tape | None = None) -> Value:
     out = Value(np.maximum(x.data, 0))
     if tape is not None:
-        mask, x_slot = out.data > 0, x.slot  # subgradient 0 at exactly 0
+        # the mask, one bit per value; subgradient 0 at exactly 0
+        bits, x_slot = np.packbits(out.data > 0), x.slot
 
         def backward(g: Array) -> None:
-            g *= mask
+            g *= np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
             _accumulate(x_slot, g)
 
         tape.record(out, backward)
@@ -655,7 +712,8 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
     """base + sum_i coeffs[t, i] * lags[i], as one op with one backward.
 
     `coeffs` is either a trained Value, whose row t receives the gradient
-    <g, lags[i]> for each lag used, or a fixed array that receives none.  A
+    <g, lags[i]> for each lag used, or fixed coefficients that receive none:
+    an array, or a Value made constant (`needs_grad=False`).  A
     constant lag gets no gradient, but its coefficient still does.  A lag
     may have fewer channels than the base (the model's image x_0): it is
     read as zero-padded to the base's channels, so it adds into the base's
@@ -666,8 +724,8 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
     through one slice-sized scratch, so no temporary is as large as the
     output.
     """
-    trained = isinstance(coeffs, Value)
-    table = coeffs.data if trained else coeffs
+    table = coeffs.data if isinstance(coeffs, Value) else coeffs
+    trained = isinstance(coeffs, Value) and coeffs.needs_grad
     if not 1 <= len(lags) <= table.shape[1]:
         raise ConfigurationError(
             f"add_scaled takes 1 to {table.shape[1]} lags, got {len(lags)}"
@@ -696,7 +754,7 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
         base_slot = base.slot
         lag_slots = [lag.slot if lag.needs_grad else None for lag in lags]
         widths = [lag.data.shape[3] for lag in lags]
-        lag_data = [lag.data for lag in lags] if trained else []
+        lag_rows = [lag.rows() for lag in lags] if trained else []
 
         def backward(g: Array) -> None:
             for slot, c, scale in zip(lag_slots, widths, scales):
@@ -705,8 +763,8 @@ def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
             if trained:
                 if coeffs.grad is None:
                     coeffs.grad = np.zeros_like(coeffs.data)
-                for i, lag in enumerate(lag_data):
-                    coeffs.grad[t, i] += _dot(g, lag)
+                for i, rows in enumerate(lag_rows):
+                    coeffs.grad[t, i] += _dot(g, rows)
             _accumulate(base_slot, g)  # last, once nothing reads g: the base takes g
 
         tape.record(out, backward)

@@ -174,6 +174,8 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     optimizer state) and best.ckpt (model only, best test accuracy) are
     maintained after every epoch.  `resume_from` restores a last.ckpt and
     continues; the resumed log reproduces the uninterrupted run.
+    `freeze_alpha` makes alpha a constant, which neither the backward nor
+    the optimizer touches, until a later `train()` without it.
     """
     if train_ds.class_count != model.config.num_classes:
         raise ConfigurationError(
@@ -183,9 +185,12 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     # an empty split would fail only after the first epoch's training
     _require_images(train_ds)
     _require_images(test_ds)
+    if model.alpha is not None:
+        # a frozen alpha is a constant: the forward computes no gradient for it
+        model.alpha.needs_grad = not freeze_alpha
     all_params = model.trainables()
-    opt_params = [(n, v) for n, v in all_params if not (freeze_alpha and n == "alpha")]
-    opt = SGD(opt_params, config.momentum, config.weight_decay)
+    opt = SGD([(n, v) for n, v in all_params if v.needs_grad], config.momentum,
+              config.weight_decay)
 
     start_epoch = 0
     lam = config.alpha_reg.lambda0 if config.alpha_reg else 0.0
@@ -225,7 +230,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
                     f"non-finite loss at epoch {epoch}; last checkpoint retained"
                 )
             tape.backward(logits, grad_scores)
-            if reg_active:
+            if reg_active and model.alpha.needs_grad:
                 _, reg_grad = alpha_reg_loss(model.alpha.data, lam)
                 if model.alpha.grad is None:
                     model.alpha.grad = reg_grad

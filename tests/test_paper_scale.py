@@ -52,15 +52,14 @@ def test_paper_forward_records_83_ops(mode):
     assert len(tape) == 4 * 15 + 21 + 2 == 83
 
 
-def test_paper_step_holds_only_what_the_backward_reads():
-    # One batch-8 step, traced by tracemalloc (numpy reports its buffers to
-    # it).  A tape that cached the im2col patches, kept the activations no
-    # backward reads, or kept each record after it ran held 50-108 MB after
-    # the forward or peaked at 73-159 MB over the step.
+def traced_step(batch: int) -> tuple[int, int]:
+    """(bytes held after the forward, step peak) of one training step at
+    `batch`, traced by tracemalloc (numpy reports its buffers to it) after
+    an untraced warm-up step: lazy imports and first-use allocations."""
     model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((8, 3, 32, 32)).astype(np.float32)
-    labels = rng.integers(0, 10, size=8)
+    x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+    labels = rng.integers(0, 10, size=batch)
 
     def step(traced: bool) -> int:
         for _, v in model.trainables():
@@ -72,15 +71,35 @@ def test_paper_step_holds_only_what_the_backward_reads():
         tape.backward(logits, grad)
         return held
 
-    step(traced=False)  # warm-up: lazy imports and first-use allocations
+    step(traced=False)
     tracemalloc.start()
     try:
         held = step(traced=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return held, peak
+
+
+def test_paper_step_holds_only_what_the_backward_reads():
+    # A tape that cached the im2col patches, kept the activations no
+    # backward reads, or kept each record after it ran held 50-108 MB after
+    # the forward or peaked at 73-159 MB over the step.
+    held, peak = traced_step(8)
     assert held <= 30e6, f"{held / 1e6:.1f} MB held after the forward"
     assert peak <= 60e6, f"{peak / 1e6:.1f} MB step peak"
+
+
+def test_paper_step_keeps_each_activation_once():
+    # A 32x32 activation is 8.4 MB here.  Keeping each train-mode BN output
+    # for the conv and shortcut backwards that read it, next to the xhat it
+    # is rebuilt from, ReLU masks at one byte per value, and pooling the
+    # lags after BN held 77.9 MB after the forward and peaked at 99.0 MB;
+    # rebuilding the outputs, bit-packing the masks and pooling first hold
+    # 48.2 MB and peak at about 72 MB.
+    held, peak = traced_step(32)
+    assert held <= 60e6, f"{held / 1e6:.1f} MB held after the forward"
+    assert peak <= 85e6, f"{peak / 1e6:.1f} MB step peak"
 
 
 def test_paper_eval_forward_gathers_patches_in_small_chunks():

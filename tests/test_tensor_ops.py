@@ -432,6 +432,27 @@ class TestBatchNorm:
             0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3)) * m / (m - 1),
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebuilt_rows_equal_the_output(self, dtype):
+        # a taped train-mode output is read back by the backwards through a
+        # reader that rebuilds its rows; chunks of 2, 2, 2 and 1 images, the
+        # scratch sized by the first and reused
+        rng = np.random.default_rng(15)
+        state = BatchNormState.create(4, dtype=dtype)
+        state.gamma.data = rng.uniform(0.5, 1.5, 4).astype(dtype)
+        state.beta.data = rng.standard_normal(4).astype(dtype)
+        x = Value(nhwc(rng.standard_normal((7, 4, 5, 3)).astype(dtype)))
+        out = batchnorm(x, state, "train", tape=Tape())
+        rows = out.rows()
+        assert rows is not out.data
+        chunks = [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+        rebuilt = np.concatenate([rows[chunk].copy() for chunk in chunks])
+        assert rebuilt.dtype == dtype and rebuilt.tobytes() == out.data.tobytes()
+        assert rows[:].tobytes() == out.data.tobytes()  # the depthwise read
+        # untaped, no backward reads it: its rows are the array itself
+        plain = batchnorm(x, state, "train")
+        assert plain.rows() is plain.data
+
     def test_degenerate_batch_rejected(self):
         state = BatchNormState.create(2, dtype=np.float64)
         with pytest.raises(DegenerateBatchError):
@@ -480,6 +501,34 @@ class TestActivations:
         out = relu(x, tape=tape)
         tape.backward(out, np.ones_like(out.data))
         np.testing.assert_array_equal(x.grad, [[[[0.0, 0.0, 1.0]]]])
+
+    def test_relu_after_conv_with_exact_zeros(self):
+        # an all-zero image makes every conv output of it exactly 0, where
+        # the bit-packed mask must give subgradient 0; 3*5*3*3 = 135 values
+        # leave the mask's last byte partly used
+        rng = np.random.default_rng(27)
+        x_nchw = rng.standard_normal((3, 2, 5, 3))
+        x_nchw[1] = 0.0
+        x, w = Value(nhwc(x_nchw)), Value(rng.standard_normal((3, 2, 3, 3)))
+        weights = nhwc(rng.standard_normal((3, 3, 5, 3)))
+
+        def run(analytic=True):
+            tape = Tape()
+            mid = conv2d(x, ConvKernel(w), tape=tape)
+            out = relu(mid, tape=tape)
+            if not analytic:
+                return (out.data * weights).sum()
+            x.grad = w.grad = None
+            tape.backward(out, weights)
+            return nchw(mid.data)
+
+        mid = run()
+        assert not mid[1].any() and (mid[[0, 2]] != 0).all()
+        want_x, want_w = oracle_conv_backward(nchw(weights) * (mid > 0), x_nchw, w.data)
+        assert not x.grad[1].any()
+        np.testing.assert_allclose(nchw(x.grad), want_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-10)
+        assert max_rel_error(w.grad, finite_difference(build_loss_scalar(run), w)) < 1e-6
 
     def test_tanh_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -834,6 +883,48 @@ class TestTape:
         want_x, want_w = naive_conv2d_backward(nchw(seed) * active, x_nchw, w, padding=1)
         np.testing.assert_allclose(nchw(x.grad), want_x, rtol=0, atol=1e-10)
         np.testing.assert_allclose(weights.grad, want_w, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_records_hold_no_batchnorm_output(self, monkeypatch, groups):
+        # a train-mode BN output feeds a conv and is a trained lag; both
+        # backwards read it through rows rebuilt from BN's own xhat, so the
+        # output dies with the caller's last reference.  The shortcut's dot
+        # runs in two-image chunks of a 5-image batch.
+        rng = np.random.default_rng(26)
+        x_nchw = rng.standard_normal((5, 3, 4, 6))
+        x, w = Value(nhwc(x_nchw)), Value(rng.standard_normal((3, 3 // groups, 3, 3)))
+        state = BatchNormState.create(3, dtype=np.float64)
+        state.gamma.data = rng.uniform(0.5, 1.5, 3)
+        state.beta.data = rng.standard_normal(3)
+        snapshot = (state.running_mean.copy(), state.running_var.copy())
+        coeffs = Value(rng.uniform(-1.0, 1.0, (1, 1)))
+        seed = rng.standard_normal((5, 4, 6, 3))
+        monkeypatch.setattr(tensor, "_SUM_BYTES", 2 * seed[0].nbytes)
+
+        def run(analytic=True):
+            state.running_mean[...], state.running_var[...] = snapshot
+            tape = Tape()
+            y = batchnorm(x, state, "train", tape=tape)
+            y_data, probe = y.data.copy(), weakref.ref(y.data)
+            out = add_scaled(conv2d(y, ConvKernel(w, groups=groups), tape=tape), [y],
+                             coeffs, 0, tape=tape)
+            del y
+            if not analytic:
+                return float((out.data * seed).sum())
+            assert probe() is None
+            for v in (x, w, state.gamma, state.beta, coeffs):
+                v.grad = None
+            tape.backward(out, seed)
+            return y_data
+
+        y_data = run()
+        np.testing.assert_allclose(coeffs.grad[0, 0], (y_data * seed).sum(), rtol=1e-12)
+        if groups == 1:
+            _, want_w = naive_conv2d_backward(nchw(seed), nchw(y_data), w.data, padding=1)
+            np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-10)
+        for target in (x, w, state.gamma, state.beta, coeffs):
+            numeric = finite_difference(build_loss_scalar(run), target)
+            assert max_rel_error(target.grad, numeric) < 1e-6
 
     def test_seed_shape_checked(self):
         x = Value(np.ones((1, 1, 2, 2)))

@@ -268,6 +268,46 @@ class TestTrainLoop:
               freeze_alpha=True)
         np.testing.assert_array_equal(model.alpha.data, frozen)
 
+    def test_frozen_alpha_gets_no_gradient(self, tiny_pair, tmp_path, monkeypatch):
+        # A frozen alpha is read as fixed coefficients, so no step computes
+        # its gradient; a run that computes it and throws it away, as the
+        # shortcut sum of a trained alpha does, writes the same metrics.csv.
+        # A later unfrozen run trains alpha again.
+        import thriftynet.model as model_module
+
+        train_ds, test_ds = tiny_pair
+        config = tiny_train_config(epochs=2)
+        frozen = binarize_alpha(np.random.default_rng(1).uniform(
+            0, 1, (3, 4)).astype(np.float32))
+
+        def run(out: str) -> ThriftyNet:
+            model = ThriftyNet(tiny_model_config(history=3), seed=11)
+            model.alpha.data[...] = frozen
+            train(model, train_ds, test_ds, config, out_dir=tmp_path / out,
+                  freeze_alpha=True)
+            return model
+
+        model = run("frozen")
+        assert model.alpha.grad is None
+        real = model_module.add_scaled
+
+        def graded(base, lags, coeffs, t, *, tape=None):
+            if isinstance(coeffs, Value) and not coeffs.needs_grad:
+                coeffs = Value(coeffs.data)  # graded, its gradient dropped
+            return real(base, lags, coeffs, t, tape=tape)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "add_scaled", graded)
+            reference = run("graded")
+        assert (tmp_path / "frozen" / "metrics.csv").read_bytes() == \
+            (tmp_path / "graded" / "metrics.csv").read_bytes()
+        for a, b in zip(model.state_arrays(), reference.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+
+        train(model, train_ds, test_ds, tiny_train_config(epochs=1))
+        assert model.alpha.grad is not None
+        assert not np.array_equal(model.alpha.data, frozen)
+
     def test_steps_per_epoch_mode(self, tiny_pair):
         train_ds, test_ds = tiny_pair
         model = ThriftyNet(tiny_model_config(), seed=12)
