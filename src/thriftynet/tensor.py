@@ -141,16 +141,19 @@ class Value:
 
 class _AffineRows:
     """Rows of a train-mode batch norm's output, rebuilt on demand as
-    xhat[rows] * gamma + beta: the forward's own two ops in the forward's
-    order, so the rows equal the output's bits.  Each read is written into
-    one scratch, reused across reads and sized by the first, so it stays
-    valid only until the next read."""
+    xhat[rows] * gamma + beta: the forward's own two ops on each value, so
+    the rows equal the output's bits.  gamma and beta are tiled to one
+    image row, W*C values, so that numpy's broadcast loop runs over W*C
+    values at a time rather than C (about twice as fast at C=16).  Each
+    read is written into one scratch, reused across reads and sized by the
+    first, so it stays valid only until the next read."""
 
     __slots__ = ("xhat", "gamma", "beta", "shape", "_scratch")
 
     def __init__(self, xhat: Array, gamma: Array, beta: Array):
-        self.xhat, self.gamma, self.beta = xhat, gamma, beta
-        self.shape = xhat.shape
+        width = xhat.shape[2]
+        self.xhat, self.shape = xhat, xhat.shape
+        self.gamma, self.beta = np.tile(gamma, width), np.tile(beta, width)
         self._scratch: Array | None = None
 
     def __getitem__(self, images: slice) -> Array:
@@ -159,8 +162,9 @@ class _AffineRows:
         if self._scratch is None or len(self._scratch) < k:
             self._scratch = np.empty_like(xhat)
         out = self._scratch[:k]
-        np.multiply(xhat, self.gamma, out=out)
-        out += self.beta
+        rows = out.reshape(-1, self.gamma.size)
+        np.multiply(xhat.reshape(rows.shape), self.gamma, out=rows)
+        rows += self.beta
         return out
 
 
