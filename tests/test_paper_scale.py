@@ -96,7 +96,7 @@ def test_paper_step_keeps_each_activation_once():
     # is rebuilt from, ReLU masks at one byte per value, and pooling the
     # lags after BN held 77.9 MB after the forward and peaked at 99.0 MB;
     # rebuilding the outputs, bit-packing the masks and pooling first hold
-    # 48.2 MB and peak at about 72 MB.
+    # 48.4 MB and peak at 72.7 MB.
     held, peak = traced_step(32)
     assert held <= 60e6, f"{held / 1e6:.1f} MB held after the forward"
     assert peak <= 85e6, f"{peak / 1e6:.1f} MB step peak"
