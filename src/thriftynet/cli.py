@@ -27,7 +27,8 @@ from .errors import (
     NumericalError,
 )
 from .gradcheck import check_model_gradients, summarize_groups
-from .model import ThriftyConfig, ThriftyNet, load_model, mean_activations
+from .model import (ThriftyConfig, ThriftyNet, load_model, mean_activations,
+                    validate_schedule)
 from .training import (
     AlphaRegConfig,
     TrainConfig,
@@ -203,8 +204,7 @@ def _build_schedule(spec) -> tuple[int, ...]:
     text = str(spec.schedule)
     if text in ("regular", "front_loaded"):
         return planner.make_schedule(spec.iterations, spec.pools, text)
-    return planner.make_schedule(spec.iterations, placement="explicit",
-                                 explicit=_parse_int_list("schedule", text))
+    return validate_schedule(_parse_int_list("schedule", text), spec.iterations)
 
 
 def _build_model_config(spec, num_classes: int, input_channels: int) -> ThriftyConfig:
@@ -298,6 +298,7 @@ def _prepare_out(spec, out: str) -> Path:
 
 def cmd_train(args) -> int:
     spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS})
+    train_config = _train_config(spec)
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     counts = planner.param_count(config)
@@ -305,7 +306,7 @@ def cmd_train(args) -> int:
     print(f"filters={config.filters} params_total={counts.total} "
           f"params_table1={counts.table1_total}")
     model = ThriftyNet(config, seed=spec.seed)
-    result = train(model, train_ds, test_ds, _train_config(spec),
+    result = train(model, train_ds, test_ds, train_config,
                    out_dir=out_dir, resume_from=args.resume or None)
     print(f"best_test_acc={result.best_test_acc:.2f} "
           f"final_test_acc={result.final_test_acc:.2f}")

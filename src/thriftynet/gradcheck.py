@@ -69,8 +69,7 @@ def default_check_config() -> ThriftyConfig:
 
 def check_model_gradients(config: ThriftyConfig | None = None, seed: int = 0,
                           batch: int = 3, input_hw: tuple[int, int] = (8, 8),
-                          step: float = DEFAULT_STEP, tol: float = 1e-4,
-                          mode: str = "train") -> list[GroupCheck]:
+                          step: float = DEFAULT_STEP, tol: float = 1e-4) -> list[GroupCheck]:
     """Compare analytic and numeric gradients for every parameter group."""
     if config is None:
         config = default_check_config()
@@ -87,7 +86,7 @@ def check_model_gradients(config: ThriftyConfig | None = None, seed: int = 0,
             state.running_var[...] = var
 
     def loss_fn() -> float:
-        logits = model.forward(x, mode=mode)
+        logits = model.forward(x, mode="train")
         loss, _ = softmax_cross_entropy(logits.data, labels)
         restore_bn()
         return loss
@@ -95,7 +94,7 @@ def check_model_gradients(config: ThriftyConfig | None = None, seed: int = 0,
     for _, v in model.trainables():
         v.grad = None
     tape = Tape()
-    logits = model.forward(x, mode=mode, tape=tape)
+    logits = model.forward(x, mode="train", tape=tape)
     _, grad_scores = softmax_cross_entropy(logits.data, labels)
     tape.backward(logits, grad_scores)
     restore_bn()

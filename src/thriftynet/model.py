@@ -22,15 +22,15 @@ weights as (f_out, f_in, a, b).  Inside, `iterate` transposes the image once
 to channels-last (N, H, W, C), the layout of every tensor op, and the
 recursion never leaves it: the x_{t+1} it yields are (N, H, W, f).
 
-Eval forwards without a tape run in image chunks.  Eval-mode BN, the
-activation, the shortcut sum and the global max pool each treat one image
-on its own, so `forward` runs the recursion over chunks of at least
-`EVAL_CHUNK` whole images, keeping one chunk's activations alive instead of
-the batch's, and applies the head once to the whole batch's pooled features.
-Chunks of 64 or more images keep every conv GEMM off OpenBLAS's
-short-matrix kernel, and one head GEMM keeps the 100-class head's bits, so
-the logits equal an unchunked pass's bit for bit.  Train-mode and taped
-forwards stay one pass, since BN's batch statistics need the whole batch.
+Eval forwards run in image chunks.  Eval-mode BN, the activation, the
+shortcut sum and the global max pool each treat one image on its own, so
+`forward` runs the recursion over chunks of at least `EVAL_CHUNK` whole
+images, keeping one chunk's activations alive instead of the batch's, and
+applies the head once to the whole batch's pooled features.  Chunks of 64
+or more images keep every conv GEMM off OpenBLAS's short-matrix kernel, and
+one head GEMM keeps the 100-class head's bits, so the logits equal an
+unchunked pass's bit for bit.  Train forwards, the only ones a tape takes,
+stay one pass, since BN's batch statistics need the whole batch.
 
 Instrumentation lives here, not in the ops: `iterate` yields every x_{t+1},
 which `forward` drains and `mean_activations` reads, and `forward` fills a
@@ -294,7 +294,8 @@ class ThriftyNet:
         # the channels it lacks as zeros
         history = [Value(self._check_input(x), needs_grad=False)]
         # the plain net's lag-0 coefficient is a fixed 1 that is never trained
-        alpha = self.alpha if cfg.residual else np.ones((cfg.iterations, 1), self.dtype)
+        alpha = self.alpha if cfg.residual else Value(
+            np.ones((cfg.iterations, 1), self.dtype), needs_grad=False)
         for t in range(cfg.iterations):
             # nested, and `summed` dropped once BN has read it, so that the
             # conv output, the activation and the shortcut sum are each freed
@@ -319,15 +320,16 @@ class ThriftyNet:
         """Run the recursion on (N, C, H, W) images; returns the (N, K) class
         scores as a Value.  A `tally` gets this pass's MACs added.
 
-        An eval forward without a tape runs the recursion over chunks of
-        64-127 images, so that one chunk's activations are alive at a time
-        and every conv GEMM is tall enough for OpenBLAS to give the rows an
-        unchunked pass gives; it applies the head once, to the whole batch's
-        pooled features, since the 100-class head GEMM rounds differently on
-        fewer rows.  Train-mode and taped forwards are one pass over the
-        batch: BN's batch statistics and the backward need all of it."""
+        An eval forward runs the recursion over chunks of 64-127 images, so
+        that one chunk's activations are alive at a time and every conv GEMM
+        is tall enough for OpenBLAS to give the rows an unchunked pass
+        gives; it applies the head once, to the whole batch's pooled
+        features, since the 100-class head GEMM rounds differently on fewer
+        rows.  A train forward, the only kind a `tape` takes, is one pass
+        over the batch: BN's batch statistics and the backward need all of
+        it."""
         n = x.shape[0]
-        chunks = _eval_chunks(n) if mode == "eval" and tape is None else [slice(0, n)]
+        chunks = _eval_chunks(n) if mode == "eval" else [slice(0, n)]
         pooled = []
         for chunk in chunks:
             grids = []  # H*W of x_1 .. x_T
@@ -460,7 +462,8 @@ class _Reader:
 
 
 def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
-    """Rebuild a model from bytes; returns (model, bytes consumed)."""
+    """Rebuild a model from bytes; returns (model, bytes consumed).  A
+    tensor holding a NaN or an infinity is rejected, naming the tensor."""
     reader = _Reader(blob)
     try:
         (magic, dtype_code, mode_code, act_code, _reserved, f, a, b, t, h,
@@ -498,6 +501,9 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
         )
     model = ThriftyNet.__new__(ThriftyNet)
     model._assemble(config, dtype, [reader.array(shape, dtype) for shape in shapes])
+    for (name, _), array in zip(model._file_order(), model.state_arrays()):
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"checkpoint tensor {name} holds a non-finite value")
     return model, reader.offset
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .model import DownsampleSchedule, ThriftyConfig, validate_schedule
+from .model import DownsampleSchedule, ThriftyConfig
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,15 @@ def solve_filters(budget: int, iterations: int, history: int,
     return lo
 
 
-def make_schedule(iterations: int, n_pools: int = 0, placement: str = "regular",
-                  explicit: DownsampleSchedule | None = None) -> DownsampleSchedule:
+def make_schedule(iterations: int, n_pools: int = 0,
+                  placement: str = "regular") -> DownsampleSchedule:
     """Build a downsampling schedule: 1 keeps resolution, 2 halves it.
 
     regular      pool k fires after iteration floor((k+1)*T/(n_pools+1)) - 1
     front_loaded pools occupy iterations 0 .. n_pools-1
-    explicit     validated pass-through of a caller-provided sequence
+
+    An explicit schedule needs no building: `validate_schedule` checks it.
     """
-    if placement == "explicit":
-        if explicit is None:
-            raise ConfigurationError("explicit placement requires a schedule")
-        return validate_schedule(explicit, iterations)
     if not 0 <= n_pools <= iterations:
         raise ConfigurationError(
             f"n_pools={n_pools} must lie in [0, iterations={iterations}]"
@@ -146,7 +143,7 @@ def make_schedule(iterations: int, n_pools: int = 0, placement: str = "regular",
             factors[p] = 2
     else:
         raise ConfigurationError(
-            f"placement must be 'regular', 'front_loaded' or 'explicit', got {placement!r}"
+            f"placement must be 'regular' or 'front_loaded', got {placement!r}"
         )
     return tuple(factors)
 

@@ -20,12 +20,16 @@ value.  A backward that reads an input keeps `Value.rows()` of it, so a
 train-mode batch-norm output, which the conv's weight gradient and the
 shortcut sum's coefficient gradient read, is rebuilt a few images at a
 time from the xhat that batch norm's backward keeps, not kept beside it
-(the rule that makes this sound is in the Tape docstring).  The classical
-conv gathers its im2col patch matrix as a transient in the forward, a few
-whole images (about 8 MiB of patches) at a time, so that its GEMM reads
-the patches back from cache, not from DRAM; its backward works through g
-in the same chunks, and takes the weight gradient from the patch matrix of
-g that it gathers for the input gradient anyway.
+(the rule that makes this sound is in the Tape docstring).  One function,
+`_scale_shift`, makes batch norm's train output, its eval output and that
+rebuild, so a rebuilt row equals the output because the same code made
+both.  Eval-mode batch norm, a fixed affine of the running statistics, has
+no backward: only train forwards take a tape.  The classical conv gathers
+its im2col patch matrix as a transient in the forward, a few whole images
+(about 8 MiB of patches) at a time, so that its GEMM reads the patches
+back from cache, not from DRAM; its backward works through g in the same
+chunks, and takes the weight gradient from the patch matrix of g that it
+gathers for the input gradient anyway.
 
 Each gradient array has one owner (the rule is in the Tape docstring), so
 ReLU, tanh and batch norm build their input gradient in the g they are
@@ -97,15 +101,15 @@ class Value:
     the inputs themselves, so an activation that no backward reads is freed
     as soon as the forward drops it.  A backward that does read an input's
     data keeps `rows()` of it, not `data`: for a taped train-mode batch-norm
-    output, whose `affine` holds the (xhat, gamma, beta) that batch norm's
-    own backward keeps anyway, that is a reader which rebuilds the rows it
-    is asked for, so the output itself is freed with the forward's last
-    reference too.
+    output, whose `affine` holds the xhat that batch norm's own backward
+    keeps anyway and gamma and beta tiled to one image row, that is a
+    reader which rebuilds the rows it is asked for, so the output itself is
+    freed with the forward's last reference too.
 
     A Value made with `needs_grad=False` is a constant, the model's input
-    image or a frozen coefficient table: `maxpool2x2` of it records nothing
-    and returns a constant, and `conv2d` and `add_scaled` compute no
-    gradient for it.
+    image or a fixed coefficient table (the plain net's, or a frozen
+    alpha): `maxpool2x2` of it records nothing and returns a constant, and
+    `conv2d` and `add_scaled` compute no gradient for it.
     """
 
     __slots__ = ("data", "slot", "needs_grad", "affine")
@@ -120,7 +124,8 @@ class Value:
     def rows(self) -> Array | _AffineRows:
         """What a backward keeps to read this Value's data, indexed by a
         slice of images: `data` itself, or, for a Value with `affine` =
-        (xhat, gamma, beta), a reader that rebuilds xhat * gamma + beta."""
+        (xhat, gamma row, beta row), a reader that rebuilds xhat * gamma +
+        beta."""
         return self.data if self.affine is None else _AffineRows(*self.affine)
 
     @property
@@ -139,21 +144,29 @@ class Value:
         return f"Value(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
+def _scale_shift(x: Array, scale_row: Array, shift_row: Array, out: Array) -> Array:
+    """out = x * scale + shift for (N,H,W,C) arrays x and out, with the
+    per-channel scale and shift tiled to one image row (W*C values), so
+    that numpy's broadcast loop runs over W*C values at a time rather than
+    C (about twice as fast at C=16).  Each value gets the same two IEEE ops
+    as with a (C,) broadcast."""
+    rows = out.reshape(-1, scale_row.size)
+    np.multiply(x.reshape(rows.shape), scale_row, out=rows)
+    rows += shift_row
+    return out
+
+
 class _AffineRows:
-    """Rows of a train-mode batch norm's output, rebuilt on demand as
-    xhat[rows] * gamma + beta: the forward's own two ops on each value, so
-    the rows equal the output's bits.  gamma and beta are tiled to one
-    image row, W*C values, so that numpy's broadcast loop runs over W*C
-    values at a time rather than C (about twice as fast at C=16).  Each
-    read is written into one scratch, reused across reads and sized by the
-    first, so it stays valid only until the next read."""
+    """Rows of a train-mode batch norm's output, rebuilt on demand from
+    xhat by the `_scale_shift` that made the output, so they equal its
+    bits.  Each read is written into one scratch, reused across reads and
+    sized by the first, so it stays valid only until the next read."""
 
-    __slots__ = ("xhat", "gamma", "beta", "shape", "_scratch")
+    __slots__ = ("xhat", "gamma_row", "beta_row", "shape", "_scratch")
 
-    def __init__(self, xhat: Array, gamma: Array, beta: Array):
-        width = xhat.shape[2]
+    def __init__(self, xhat: Array, gamma_row: Array, beta_row: Array):
         self.xhat, self.shape = xhat, xhat.shape
-        self.gamma, self.beta = np.tile(gamma, width), np.tile(beta, width)
+        self.gamma_row, self.beta_row = gamma_row, beta_row
         self._scratch: Array | None = None
 
     def __getitem__(self, images: slice) -> Array:
@@ -161,11 +174,7 @@ class _AffineRows:
         k = len(xhat)
         if self._scratch is None or len(self._scratch) < k:
             self._scratch = np.empty_like(xhat)
-        out = self._scratch[:k]
-        rows = out.reshape(-1, self.gamma.size)
-        np.multiply(xhat.reshape(rows.shape), self.gamma, out=rows)
-        rows += self.beta
-        return out
+        return _scale_shift(xhat, self.gamma_row, self.beta_row, self._scratch[:k])
 
 
 def _accumulate(slot: _GradSlot, g: Array) -> None:
@@ -531,9 +540,10 @@ def _bn_train_backward(g: Array, xhat: Array, inv_std: Array, gamma: Array,
 def batchnorm(x: Value, state: BatchNormState, mode: str, *,
               tape: Tape | None = None) -> Value:
     """Per-channel normalization over (N,H,W); `mode` is "train" or "eval".
-    Eval mode is one per-channel scale and shift of the running stats."""
+    Eval mode is one per-channel scale and shift of the running stats, with
+    no gradient, so it takes no tape: a taped forward is a train forward."""
     check_tensor4(x.data)
-    c = x.data.shape[3]
+    n, h, w, c = x.data.shape
     if state.gamma.data.shape != (c,):
         raise ConfigurationError(
             f"batchnorm state has {state.gamma.data.shape[0]} channels, input has {c}"
@@ -541,52 +551,40 @@ def batchnorm(x: Value, state: BatchNormState, mode: str, *,
     if mode not in ("train", "eval"):
         raise ConfigurationError(f"mode must be 'train' or 'eval', got {mode!r}")
     gamma, beta = state.gamma, state.beta
-    if mode == "train":
-        n, h, w, _ = x.data.shape
-        m = n * h * w
-        if m == 1:
-            raise DegenerateBatchError(
-                "train-mode batchnorm needs more than one value per channel"
-            )
-        # xhat holds the deviations until it is normalized in place
-        mean = _channel_sum(x.data) / m
-        xhat = x.data - mean
-        var = _channel_dot(xhat, xhat) / m  # biased (1/m) estimator
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        xhat *= inv_std
-        out_data = xhat * gamma.data
-        out_data += beta.data
-        # taped, the output can be rebuilt from what the backward keeps
-        affine = None if tape is None else (xhat, gamma.data, beta.data)
-        out = Value(out_data, affine=affine)
-        rho = state.momentum
-        state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
-        state.running_var[:] = (1.0 - rho) * state.running_var + rho * var * (m / (m - 1))
+    if mode == "eval":
         if tape is not None:
-            x_slot = x.slot
-
-            def backward(g: Array) -> None:
-                ggamma, gbeta = _bn_train_backward(g, xhat, inv_std, gamma.data, m)
-                _accumulate(x_slot, g)
-                _accumulate(gamma.slot, ggamma)
-                _accumulate(beta.slot, gbeta)
-
-            tape.record(out, backward)
-        return out
-
-    inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-    scale = gamma.data * inv_std
-    out_data = x.data * scale
-    out_data += beta.data - state.running_mean * scale
-    out = Value(out_data)
+            raise ConfigurationError("eval-mode batchnorm has no backward, so takes no tape")
+        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        scale = gamma.data * inv_std
+        shift = beta.data - state.running_mean * scale
+        return Value(_scale_shift(x.data, np.tile(scale, w), np.tile(shift, w),
+                                  np.empty_like(x.data)))
+    m = n * h * w
+    if m == 1:
+        raise DegenerateBatchError(
+            "train-mode batchnorm needs more than one value per channel"
+        )
+    # xhat holds the deviations until it is normalized in place
+    mean = _channel_sum(x.data) / m
+    xhat = x.data - mean
+    var = _channel_dot(xhat, xhat) / m  # biased (1/m) estimator
+    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    xhat *= inv_std
+    gamma_row, beta_row = np.tile(gamma.data, w), np.tile(beta.data, w)
+    # taped, the output can be rebuilt from what the backward keeps
+    out = Value(_scale_shift(xhat, gamma_row, beta_row, np.empty_like(xhat)),
+                affine=None if tape is None else (xhat, gamma_row, beta_row))
+    rho = state.momentum
+    state.running_mean[:] = (1.0 - rho) * state.running_mean + rho * mean
+    state.running_var[:] = (1.0 - rho) * state.running_var + rho * var * (m / (m - 1))
     if tape is not None:
-        x_data, x_slot, mean = x.data, x.slot, state.running_mean.copy()
+        x_slot = x.slot
 
         def backward(g: Array) -> None:
-            _accumulate(gamma.slot, _channel_dot(g, (x_data - mean) * inv_std))
-            _accumulate(beta.slot, _channel_sum(g))
-            g *= scale
+            ggamma, gbeta = _bn_train_backward(g, xhat, inv_std, gamma.data, m)
             _accumulate(x_slot, g)
+            _accumulate(gamma.slot, ggamma)
+            _accumulate(beta.slot, gbeta)
 
         tape.record(out, backward)
     return out
@@ -711,25 +709,23 @@ def global_max_pool(x: Value, *, tape: Tape | None = None) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def add_scaled(base: Value, lags: list[Value], coeffs: Value | Array, t: int, *,
+def add_scaled(base: Value, lags: list[Value], coeffs: Value, t: int, *,
                tape: Tape | None = None) -> Value:
     """base + sum_i coeffs[t, i] * lags[i], as one op with one backward.
 
-    `coeffs` is either a trained Value, whose row t receives the gradient
-    <g, lags[i]> for each lag used, or fixed coefficients that receive none:
-    an array, or a Value made constant (`needs_grad=False`).  A
-    constant lag gets no gradient, but its coefficient still does.  A lag
-    may have fewer channels than the base (the model's image x_0): it is
-    read as zero-padded to the base's channels, so it adds into the base's
-    first channels only.
+    A trained `coeffs` receives in row t the gradient <g, lags[i]> for each
+    lag used; a constant one (`needs_grad=False`) is a fixed table that
+    receives none.  A constant lag gets no gradient, but its coefficient
+    still does.  A lag may have fewer channels than the base (the model's
+    image x_0): it is read as zero-padded to the base's channels, so it
+    adds into the base's first channels only.
     The terms are summed as (base + lags[0]*coeffs[t,0]) + lags[1]*coeffs[t,1]
     + ..., in lag order, a _SUM_BYTES slice of whole images at a time: each
     slice of the output starts as the base, and each scaled lag passes
     through one slice-sized scratch, so no temporary is as large as the
     output.
     """
-    table = coeffs.data if isinstance(coeffs, Value) else coeffs
-    trained = isinstance(coeffs, Value) and coeffs.needs_grad
+    table, trained = coeffs.data, coeffs.needs_grad
     if not 1 <= len(lags) <= table.shape[1]:
         raise ConfigurationError(
             f"add_scaled takes 1 to {table.shape[1]} lags, got {len(lags)}"

@@ -19,6 +19,7 @@ reproduces the uninterrupted one exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -33,11 +34,20 @@ from .model import OPT_MAGIC, ThriftyNet, _Reader, deserialize_model, serialize_
 from .tensor import Tape, Value, softmax_cross_entropy
 
 
+def _require_finite(config, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigurationError(f"{name} must be finite, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class AlphaRegConfig:
     lambda0: float = 3e-4
     eps: float = 1.5e-4
     epochs: int | None = None  # apply during the first N epochs (None = all)
+
+    def __post_init__(self) -> None:
+        _require_finite(self, "lambda0", "eps")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("epochs and batch_size must be positive")
+        _require_finite(self, "lr0", "momentum", "weight_decay")
         object.__setattr__(self, "lr_drops", drops)
 
 
@@ -308,8 +319,8 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
     checkpoint of the model's config and dtype.
 
     All or nothing: the whole file, optimizer section included, is read and
-    checked before anything is copied, so a rejected file leaves `model`
-    and `opt` as they were.
+    checked, for non-finite values too, before anything is copied, so a
+    rejected file leaves `model` and `opt` as they were.
     """
     blob = Path(path).read_bytes()
     restored, offset = deserialize_model(blob)
@@ -336,6 +347,11 @@ def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float
     velocities = [reader.array(vel.shape, restored.dtype) for vel in opt.velocities]
     if reader.offset != len(blob):
         raise CheckpointError(f"checkpoint has {len(blob) - reader.offset} trailing bytes")
+    if not math.isfinite(lam):
+        raise CheckpointError(f"checkpoint's alpha-regularization lambda is {lam}")
+    for (name, _), vel in zip(opt.params, velocities):
+        if not np.isfinite(vel).all():
+            raise CheckpointError(f"checkpoint's velocity of {name} holds a non-finite value")
     for dst, src in zip(model.state_arrays(), restored.state_arrays()):
         dst[...] = src
     for dst, src in zip(opt.velocities, velocities):

@@ -210,6 +210,22 @@ class TestTrain:
         assert len(rows) == 1  # the flag overrode the file's 5 epochs
         assert "epochs=1" in (out / "runspec.txt").read_text()
 
+    @pytest.mark.parametrize("extra", [
+        ("--lr", "nan"),
+        ("--momentum", "inf"),
+        ("--weight-decay", "nan"),
+        ("--alpha-reg", "--lambda0", "nan"),
+        ("--alpha-reg", "--eps", "inf"),
+    ], ids=["lr", "momentum", "weight_decay", "lambda0", "eps"])
+    def test_non_finite_hyperparameter_exits_2_before_training(self, capsys,
+                                                               raw_dataset_files,
+                                                               tmp_path, extra):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(raw_dataset_files, out), *extra)
+        assert code == 2
+        assert "must be finite" in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("no_such_option = 3\n")
@@ -344,6 +360,20 @@ class TestEval:
                            "--raw-test", str(test_path))
         assert code == 3
         assert "900 trailing bytes" in err
+
+    def test_non_finite_weight_exits_3(self, capsys, raw_dataset_files,
+                                       trained_run, tmp_path):
+        # a NaN weight once evaluated to test_acc=10.0000 and exit 0
+        train_path, test_path = raw_dataset_files
+        model = thriftynet.load_model(trained_run / "best.ckpt")
+        model.kernels[0].weights.data[0, 0, 1, 1] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        thriftynet.save_model(model, bad)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(bad),
+                             "--dataset", "raw", "--raw-train", str(train_path),
+                             "--raw-test", str(test_path))
+        assert code == 3
+        assert "conv_w" in err and "test_acc" not in out
 
     def test_bad_magic_exits_3(self, capsys, raw_dataset_files, tmp_path):
         train_path, test_path = raw_dataset_files

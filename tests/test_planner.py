@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thriftynet.errors import ConfigurationError
-from thriftynet.model import MacTally, ThriftyConfig, ThriftyNet
+from thriftynet.model import MacTally, ThriftyConfig, ThriftyNet, validate_schedule
 from thriftynet.planner import (
     mac_count,
     make_schedule,
@@ -134,12 +134,13 @@ class TestMakeSchedule:
     def test_zero_pools(self):
         assert make_schedule(6, 0) == (1,) * 6
 
+    # an explicit schedule, `--schedule 1,2,1`, is validated, not built
     def test_explicit_pass_through(self):
-        assert make_schedule(3, placement="explicit", explicit=(1, 2, 1)) == (1, 2, 1)
+        assert validate_schedule((1, 2, 1), 3) == (1, 2, 1)
 
     def test_explicit_validation(self):
         with pytest.raises(ConfigurationError):
-            make_schedule(3, placement="explicit", explicit=(1, 2))
+            validate_schedule((1, 2), 3)
 
     def test_too_many_pools_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -372,7 +372,8 @@ class TestGroupedConv:
         (x_1,) = model.iterate(x, mode="eval")
         x_0 = Value(nhwc(x))
         staged = relu(conv2d(conv2d(x_0, model.kernels[0]), model.kernels[1]))
-        staged = batchnorm(add_scaled(staged, [x_0], np.ones((1, 1)), 0), model.bn[0], "eval")
+        unit = Value(np.ones((1, 1)), needs_grad=False)
+        staged = batchnorm(add_scaled(staged, [x_0], unit, 0), model.bn[0], "eval")
         np.testing.assert_array_equal(x_1.data, staged.data)
 
 
@@ -453,13 +454,34 @@ class TestBatchNorm:
         plain = batchnorm(x, state, "train")
         assert plain.rows() is plain.data
 
+    @pytest.mark.parametrize("channels", [16, 64])
+    def test_outputs_equal_the_broadcast_affine(self, channels):
+        # the scale and shift runs over tiled image rows; each value must
+        # still get the two ops of a (C,) broadcast, bit for bit
+        rng = np.random.default_rng(16)
+        state = BatchNormState.create(channels)
+        state.gamma.data = rng.uniform(0.5, 1.5, channels).astype(np.float32)
+        state.beta.data = rng.standard_normal(channels).astype(np.float32)
+        state.running_mean = rng.standard_normal(channels).astype(np.float32)
+        state.running_var = rng.uniform(0.5, 2.0, channels).astype(np.float32)
+        x = Value(rng.standard_normal((3, 5, 6, channels)).astype(np.float32))
+        scale = state.gamma.data * (1.0 / np.sqrt(state.running_var + state.epsilon))
+        shift = state.beta.data - state.running_mean * scale
+        want = x.data * scale
+        want += shift
+        assert batchnorm(x, state, "eval").data.tobytes() == want.tobytes()
+        out = batchnorm(x, state, "train", tape=Tape())
+        xhat = out.affine[0]  # what the backward keeps
+        want = xhat * state.gamma.data
+        want += state.beta.data
+        assert out.data.tobytes() == want.tobytes()
+
     def test_degenerate_batch_rejected(self):
         state = BatchNormState.create(2, dtype=np.float64)
         with pytest.raises(DegenerateBatchError):
             batchnorm(Value(nhwc(np.zeros((1, 2, 1, 1)))), state, "train")
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_finite_differences(self, mode):
+    def test_finite_differences(self):
         rng = np.random.default_rng(11)
         x = Value(nhwc(rng.standard_normal((3, 2, 4, 4))))
         state = BatchNormState.create(2, dtype=np.float64)
@@ -474,7 +496,7 @@ class TestBatchNorm:
             def run(analytic=True, target=target):
                 tape = Tape()
                 out = batchnorm(Value(x.data) if target is not x else x,
-                                state, mode, tape=tape)
+                                state, "train", tape=tape)
                 state.running_mean[...], state.running_var[...] = snapshot
                 value = (out.data**2 * weights).sum()
                 if not analytic:
@@ -484,7 +506,7 @@ class TestBatchNorm:
                 return target.grad
 
             err = max_rel_error(run(), finite_difference(build_loss_scalar(run), target))
-            assert err < 1e-6, f"{mode} gradient w.r.t. {target} off by {err}"
+            assert err < 1e-6, f"gradient w.r.t. {target} off by {err}"
 
 
 class TestActivations:
@@ -745,13 +767,14 @@ class TestArithmeticOps:
     def test_add_scaled_fixed_coefficients_take_no_gradient(self):
         base = Value(np.ones((1, 1, 2, 2)))
         lag = Value(np.full((1, 1, 2, 2), 2.0))
-        fixed = np.full((1, 1), 3.0)
+        fixed = Value(np.full((1, 1), 3.0), needs_grad=False)
         tape = Tape()
         out = add_scaled(base, [lag], fixed, 0, tape=tape)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 7.0))
         tape.backward(out, np.ones_like(out.data))
         np.testing.assert_array_equal(lag.grad, np.full((1, 1, 2, 2), 3.0))
-        np.testing.assert_array_equal(fixed, np.full((1, 1), 3.0))
+        assert fixed.grad is None
+        np.testing.assert_array_equal(fixed.data, np.full((1, 1), 3.0))
 
     def test_add_scaled_constant_lag_still_grades_its_coefficient(self):
         rng = np.random.default_rng(25)
@@ -845,7 +868,7 @@ class TestArithmeticOps:
         base = Value(rng.standard_normal(shape))
         lags = [Value(rng.standard_normal(shape)) for _ in range(3)]
         lags.append(Value(rng.standard_normal(shape[:3] + (3,))))
-        coeffs = np.ones((1, 4))
+        coeffs = Value(np.ones((1, 4)), needs_grad=False)
         add_scaled(base, lags, coeffs, 0)  # warm-up
         tracemalloc.start()
         try:

@@ -397,6 +397,21 @@ class TestResume:
         load_train_checkpoint(tmp_path / "last.ckpt", model, opt)
         assert state() != before
 
+    def test_non_finite_velocity_changes_nothing(self, tiny_pair, tmp_path):
+        train_ds, test_ds = tiny_pair
+        train(ThriftyNet(tiny_model_config(), seed=16), train_ds, test_ds,
+              tiny_train_config(epochs=1), out_dir=tmp_path)
+        blob = bytearray((tmp_path / "last.ckpt").read_bytes())
+        blob[-4:] = np.array([np.nan], dtype=np.float32).tobytes()  # fc_b's velocity
+        (tmp_path / "nan.ckpt").write_bytes(blob)
+        model = ThriftyNet(tiny_model_config(), seed=17)
+        opt = SGD(model.trainables())
+        opt.velocities[0][...] = 0.5
+        before = [a.tobytes() for a in model.state_arrays() + opt.velocities]
+        with pytest.raises(CheckpointError, match="fc_b"):
+            load_train_checkpoint(tmp_path / "nan.ckpt", model, opt)
+        assert [a.tobytes() for a in model.state_arrays() + opt.velocities] == before
+
     def test_load_model_reads_the_model_of_a_training_checkpoint(self, tiny_pair,
                                                                  tmp_path):
         train_ds, test_ds = tiny_pair
