@@ -34,6 +34,7 @@ from .training import (
     TrainConfig,
     ablation_alpha,
     evaluate,
+    sweep,
     train,
 )
 
@@ -117,7 +118,7 @@ class RunSpec:
 
     def echo(self, path: Path) -> None:
         lines = [f"{key}={self.resolved[key]}" for key in sorted(self.resolved)]
-        path.write_text("\n".join(lines) + "\n")
+        metrics_mod.atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +436,8 @@ def cmd_sweep(args) -> int:
         configs.append(_build_model_config(entry_spec, train_ds.class_count,
                                            train_ds.images.shape[1]))
     out_dir = _prepare_out(spec, args.out)
-    rows = metrics_mod.sweep(configs, train_ds, test_ds, _train_config(spec),
-                             train_ds.images.shape[2:], spec.repeats, out_dir)
+    rows = sweep(configs, train_ds, test_ds, _train_config(spec),
+                 train_ds.images.shape[2:], spec.repeats, out_dir)
     for row in rows:
         print(",".join(str(v) for v in row))
     return EXIT_OK

@@ -1,14 +1,15 @@
-"""Structured experiment outputs: training curves, sweep tables, matrices.
+"""Run outputs, each written through `atomic_write`: training curves, sweep
+tables, matrices.
 
-Everything is written as plain CSV with '.'-decimal floats rendered by
-repr(), so re-parsing recovers the exact values.  Wall-clock time is kept
-in the in-memory log but written to a separate timing file: the canonical
-metric CSV must be byte-identical across reruns with the same seed, and
-timings never can be.
+CSVs are plain, with '.'-decimal floats rendered by repr(), so re-parsing
+recovers the exact values.  Wall-clock time is kept in the in-memory log but
+written to a separate timing file: the canonical metric CSV must be
+byte-identical across reruns with the same seed, and timings never can be.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,12 +61,31 @@ def _render(value) -> str:
     return str(value)
 
 
+def atomic_write(path, blob: bytes) -> None:
+    """Replace `path` with `blob` so that a crash leaves the old or the new file.
+
+    The temp file is synced before the rename and the directory after it.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Header + rows, repr'd floats, newline-terminated."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_render(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _parse_cell(text: str):
@@ -76,7 +96,10 @@ def _parse_cell(text: str):
 
 
 def read_csv(path) -> tuple[list[str], list[list]]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not text: {exc}") from None
     if not lines:
         raise DataError(f"{path} is empty")
     header = lines[0].split(",")
@@ -93,11 +116,25 @@ def write_timing(log: MetricLog, path) -> None:
               [(row.epoch, row.wall_time_s) for row in log.rows])
 
 
-def read_metric_log(path) -> list[tuple]:
+def read_metric_log(path) -> list[MetricRow]:
+    """The rows of a metrics.csv, held to what `MetricLog.append` holds a new
+    row to.  A torn or malformed row is a DataError naming the file and line."""
     header, rows = read_csv(path)
     if header != list(METRIC_COLUMNS):
         raise DataError(f"{path} has header {header}, expected {list(METRIC_COLUMNS)}")
-    return [tuple(row) for row in rows]
+    log = MetricLog()
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != len(METRIC_COLUMNS):
+            raise DataError(f"{path}:{lineno}: {len(cells)} cells, expected {len(METRIC_COLUMNS)}")
+        if any(isinstance(cell, str) for cell in cells):
+            raise DataError(f"{path}:{lineno}: non-numeric cell in {cells}")
+        if not cells[0].is_integer():
+            raise DataError(f"{path}:{lineno}: epoch {cells[0]} is not an integer")
+        try:
+            log.append(MetricRow(int(cells[0]), *cells[1:]))
+        except ConfigurationError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return log.rows
 
 
 def write_matrix_csv(matrix, path) -> None:
@@ -105,54 +142,6 @@ def write_matrix_csv(matrix, path) -> None:
     header = ["t"] + [f"c{j}" for j in range(matrix.shape[1])]
     rows = [[i, *(float(v) for v in matrix[i])] for i in range(matrix.shape[0])]
     write_csv(path, header, rows)
-
-
-# ---------------------------------------------------------------------------
-# Trade-off sweeps
-# ---------------------------------------------------------------------------
-
-SWEEP_COLUMNS = ("f", "T", "h", "n_pools", "params_total", "macs_total",
-                 "test_acc", "status")
-
-
-def sweep(configs, train_ds, test_ds, train_config, input_hw: tuple[int, int],
-          repeats: int = 1, out_dir=None):
-    """Train every config with the shared settings; emit the trade-off table.
-
-    `input_hw` is the (H, W) of the images, at which the MACs are counted.
-
-    One seed per point by default; `repeats` > 1 averages over consecutive
-    seeds.  A failing run is recorded as a failed row and the sweep
-    continues.  Rows are emitted in config order.
-    """
-    from dataclasses import replace as _replace
-
-    from . import planner
-    from .model import ThriftyNet
-    from .training import train
-
-    rows = []
-    for i, config in enumerate(configs):
-        params = planner.param_count(config)
-        macs = planner.mac_count(config, input_hw)
-        accs = []
-        status = "ok"
-        for r in range(repeats):
-            run_seed = train_config.seed + r
-            run_config = _replace(train_config, seed=run_seed)
-            try:
-                model = ThriftyNet(config, seed=run_seed)
-                result = train(model, train_ds, test_ds, run_config)
-                accs.append(result.best_test_acc)
-            except Exception as exc:  # noqa: BLE001 - sweep must survive bad points
-                status = f"failed: {type(exc).__name__}"
-                break
-        mean_acc = sum(accs) / len(accs) if accs else float("nan")
-        rows.append([config.filters, config.iterations, config.history,
-                     config.n_pools, params.total, macs.total, mean_acc, status])
-        if out_dir is not None:
-            write_csv(Path(out_dir) / "sweep.csv", SWEEP_COLUMNS, rows)
-    return rows
 
 
 def parse_manifest(path) -> list[dict]:

@@ -48,6 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, DataError
+from .metrics import atomic_write
 from .tensor import (
     BatchNormState,
     ConvKernel,
@@ -387,7 +388,8 @@ def mean_activations(model: ThriftyNet, images: np.ndarray) -> np.ndarray:
 # only), FC weights row-major, FC bias.
 #
 # A training checkpoint (`last.ckpt`) continues with an optimizer section,
-# which `training.load_train_checkpoint` reads and `load_model` skips:
+# which `save_train_checkpoint` writes, `load_train_checkpoint` reads and
+# `load_model` skips; this module alone writes and reads the container:
 #
 #   magic   9 bytes  b"OPTSTATE1"
 #   u32     next epoch
@@ -401,6 +403,7 @@ def mean_activations(model: ThriftyNet, images: np.ndarray) -> np.ndarray:
 CHECKPOINT_MAGIC = b"THRIFTY1"
 OPT_MAGIC = b"OPTSTATE1"
 _HEADER = struct.Struct("<8s4B7I")
+_OPT_HEADER = struct.Struct("<IddI")  # next_epoch, lambda, best_acc, n_velocities
 _DTYPE_CODES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 
@@ -450,6 +453,10 @@ class _Reader:
             )
         self.offset += n
         return self.offset - n
+
+    def finish(self) -> None:
+        if self.offset != len(self.blob):
+            raise CheckpointError(f"checkpoint has {len(self.blob) - self.offset} trailing bytes")
 
     def take(self, n: int) -> bytes:
         return self.blob[self._advance(n) : self.offset]
@@ -508,16 +515,76 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
 
 
 def save_model(model: ThriftyNet, path) -> None:
-    Path(path).write_bytes(serialize_model(model))
+    atomic_write(path, serialize_model(model))
+
+
+def _read_checkpoint(path) -> tuple[ThriftyNet, _Reader | None]:
+    """The model in a checkpoint file, and a reader at the start of its
+    optimizer section, or None when the model ends the file."""
+    blob = Path(path).read_bytes()
+    model, offset = deserialize_model(blob)
+    if blob.startswith(OPT_MAGIC, offset):
+        return model, _Reader(blob, offset + len(OPT_MAGIC))
+    _Reader(blob, offset).finish()
+    return model, None
 
 
 def load_model(path) -> ThriftyNet:
     """The model in a checkpoint file: a model container that ends the file
     or is followed by an optimizer section, which is not read."""
-    blob = Path(path).read_bytes()
-    model, consumed = deserialize_model(blob)
-    if consumed != len(blob) and not blob.startswith(OPT_MAGIC, consumed):
+    return _read_checkpoint(path)[0]
+
+
+def save_train_checkpoint(model: ThriftyNet, opt, next_epoch: int, lam: float,
+                          best_acc: float, path) -> None:
+    """Write the model and the optimizer state of `opt`, a `training.SGD`."""
+    parts = [serialize_model(model), OPT_MAGIC,
+             _OPT_HEADER.pack(next_epoch, lam, best_acc, len(opt.velocities))]
+    for vel in opt.velocities:
+        parts.append(np.ascontiguousarray(vel, dtype=model.dtype).tobytes())
+    atomic_write(path, b"".join(parts))
+
+
+def load_train_checkpoint(path, model: ThriftyNet, opt) -> tuple[int, float, float]:
+    """Restore parameters, running stats and the velocities of `opt`, a
+    `training.SGD`, in place, from a checkpoint of the model's config and
+    dtype; returns (next epoch, lambda, best test accuracy).
+
+    All or nothing: the whole file, optimizer section included, is read and
+    checked, for non-finite values too, before anything is copied, so a
+    rejected file leaves `model` and `opt` as they were.
+    """
+    restored, reader = _read_checkpoint(path)
+    if restored.config != model.config:
         raise CheckpointError(
-            f"checkpoint has {len(blob) - consumed} trailing bytes"
+            f"checkpoint config {restored.config} does not match model "
+            f"{model.config}"
         )
-    return model
+    if restored.dtype != model.dtype:
+        # copying would round (float64 -> float32) or widen the saved bits, so
+        # the resumed run would not be the uninterrupted one
+        raise CheckpointError(
+            f"checkpoint holds {restored.dtype} arrays, model is {model.dtype}"
+        )
+    if reader is None:
+        raise CheckpointError("checkpoint has no optimizer-state section")
+    next_epoch, lam, best_acc, n_vel = _OPT_HEADER.unpack(reader.take(_OPT_HEADER.size))
+    if n_vel != len(opt.velocities):
+        raise CheckpointError(
+            f"checkpoint stores {n_vel} velocities, optimizer has "
+            f"{len(opt.velocities)}"
+        )
+    velocities = [reader.array(vel.shape, restored.dtype) for vel in opt.velocities]
+    reader.finish()
+    if not math.isfinite(lam):
+        raise CheckpointError(f"checkpoint's alpha-regularization lambda is {lam}")
+    if not 0.0 <= best_acc <= 100.0:
+        raise CheckpointError(f"checkpoint's best test accuracy is {best_acc}, not in [0, 100]")
+    for (name, _), vel in zip(opt.params, velocities):
+        if not np.isfinite(vel).all():
+            raise CheckpointError(f"checkpoint's velocity of {name} holds a non-finite value")
+    for dst, src in zip(model.state_arrays(), restored.state_arrays()):
+        dst[...] = src
+    for dst, src in zip(opt.velocities, velocities):
+        dst[...] = src
+    return next_epoch, lam, best_acc

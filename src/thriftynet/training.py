@@ -1,4 +1,4 @@
-"""SGD training loop, shortcut-coefficient regularization, ablation protocol.
+"""SGD training loop, shortcut-coefficient regularization, ablation, sweeps.
 
 The optimizer follows
 
@@ -11,26 +11,25 @@ optional auxiliary loss
     L_alpha = lambda * sum(x^2 (1-x)^2)   over the shortcut coefficients
 
 pushes every coefficient toward 0 or 1; lambda is multiplied by (1+eps)
-after each optimizer step.  Checkpoints append an optimizer-state section
-(velocities, next epoch, lambda, best accuracy) to the model container, and
-per-epoch RNG streams are derived from (seed, epoch) so a resumed run
-reproduces the uninterrupted one exactly.
+after each optimizer step.  Per-epoch RNG streams are derived from (seed,
+epoch), and `last.ckpt`, which model.py writes, holds the optimizer state
+after the model, so a resumed run reproduces the uninterrupted one exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import planner
 from .data import ImageDataset, augment_batch, batches
-from .errors import CheckpointError, ConfigurationError, DataError, NumericalError
-from .metrics import MetricLog, MetricRow, now, read_metric_log, write_metric_log, write_timing
-from .model import OPT_MAGIC, ThriftyNet, _Reader, deserialize_model, serialize_model
+from .errors import ConfigurationError, DataError, NumericalError
+from .metrics import (MetricLog, MetricRow, now, read_metric_log, write_csv,
+                      write_metric_log, write_timing)
+from .model import ThriftyNet, load_train_checkpoint, save_model, save_train_checkpoint
 from .tensor import Tape, Value, softmax_cross_entropy
 
 
@@ -210,9 +209,9 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     if resume_from is not None:
         start_epoch, lam, best_acc = load_train_checkpoint(resume_from, model, opt)
         if out_dir is not None and (Path(out_dir) / "metrics.csv").is_file():
-            for values in read_metric_log(Path(out_dir) / "metrics.csv"):
-                if values[0] < start_epoch:
-                    log.append(MetricRow(int(values[0]), *values[1:]))
+            for row in read_metric_log(Path(out_dir) / "metrics.csv"):
+                if row.epoch < start_epoch:
+                    log.append(row)
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -275,88 +274,8 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
             save_train_checkpoint(model, opt, epoch + 1, lam, best_acc,
                                   out / "last.ckpt")
             if improved:
-                _atomic_write(out / "best.ckpt", serialize_model(model))
+                save_model(model, out / "best.ckpt")
     return TrainResult(model, log, best_acc, final_acc)
-
-
-# ---------------------------------------------------------------------------
-# Training checkpoints: model container + optimizer-state section, laid out
-# in the checkpoint-format comment of model.py
-# ---------------------------------------------------------------------------
-
-_OPT_HEADER = struct.Struct("<IddI")  # next_epoch, lambda, best_acc, n_velocities
-
-
-def _atomic_write(path: Path, blob: bytes) -> None:
-    """Replace `path` with `blob` so that a crash leaves the old or the new file.
-
-    The temp file is synced before the rename and the directory after it.
-    """
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def save_train_checkpoint(model: ThriftyNet, opt: SGD, next_epoch: int, lam: float,
-                          best_acc: float, path) -> None:
-    parts = [serialize_model(model), OPT_MAGIC,
-             _OPT_HEADER.pack(next_epoch, lam, best_acc, len(opt.velocities))]
-    for vel in opt.velocities:
-        parts.append(np.ascontiguousarray(vel, dtype=model.dtype).tobytes())
-    _atomic_write(Path(path), b"".join(parts))
-
-
-def load_train_checkpoint(path, model: ThriftyNet, opt: SGD) -> tuple[int, float, float]:
-    """Restore parameters, running stats and velocities in place, from a
-    checkpoint of the model's config and dtype.
-
-    All or nothing: the whole file, optimizer section included, is read and
-    checked, for non-finite values too, before anything is copied, so a
-    rejected file leaves `model` and `opt` as they were.
-    """
-    blob = Path(path).read_bytes()
-    restored, offset = deserialize_model(blob)
-    if restored.config != model.config:
-        raise CheckpointError(
-            f"checkpoint config {restored.config} does not match model "
-            f"{model.config}"
-        )
-    if restored.dtype != model.dtype:
-        # copying would round (float64 -> float32) or widen the saved bits, so
-        # the resumed run would not be the uninterrupted one
-        raise CheckpointError(
-            f"checkpoint holds {restored.dtype} arrays, model is {model.dtype}"
-        )
-    if blob[offset : offset + len(OPT_MAGIC)] != OPT_MAGIC:
-        raise CheckpointError("checkpoint has no optimizer-state section")
-    reader = _Reader(blob, offset + len(OPT_MAGIC))
-    next_epoch, lam, best_acc, n_vel = _OPT_HEADER.unpack(reader.take(_OPT_HEADER.size))
-    if n_vel != len(opt.velocities):
-        raise CheckpointError(
-            f"checkpoint stores {n_vel} velocities, optimizer has "
-            f"{len(opt.velocities)}"
-        )
-    velocities = [reader.array(vel.shape, restored.dtype) for vel in opt.velocities]
-    if reader.offset != len(blob):
-        raise CheckpointError(f"checkpoint has {len(blob) - reader.offset} trailing bytes")
-    if not math.isfinite(lam):
-        raise CheckpointError(f"checkpoint's alpha-regularization lambda is {lam}")
-    for (name, _), vel in zip(opt.params, velocities):
-        if not np.isfinite(vel).all():
-            raise CheckpointError(f"checkpoint's velocity of {name} holds a non-finite value")
-    for dst, src in zip(model.state_arrays(), restored.state_arrays()):
-        dst[...] = src
-    for dst, src in zip(opt.velocities, velocities):
-        dst[...] = src
-    return next_epoch, lam, best_acc
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +304,7 @@ def _phase2_config(base: TrainConfig, epochs: int) -> TrainConfig:
 
 def ablation_alpha(config, train_ds: ImageDataset, test_ds: ImageDataset,
                    train_config: TrainConfig, phase1_epochs: int = 150,
-                   phase2_epochs: int = 150, out_dir=None,
-                   alpha_init: str = "identity") -> AblationReport:
+                   phase2_epochs: int = 150, out_dir=None) -> AblationReport:
     """Two-phase shortcut freezing study.
 
     Phase 1 trains with the annealed double-well penalty; the shortcut
@@ -403,7 +321,7 @@ def ablation_alpha(config, train_ds: ImageDataset, test_ds: ImageDataset,
                          lr_drops=_scaled_drops(phase1_epochs), alpha_reg=reg)
     out = Path(out_dir) if out_dir is not None else None
 
-    model = ThriftyNet(config, seed=seed, alpha_init=alpha_init)
+    model = ThriftyNet(config, seed=seed)
     phase1 = train(model, train_ds, test_ds, phase1_cfg,
                    out_dir=None if out is None else out / "phase1")
     binarized = binarize_alpha(model.alpha.data)
@@ -412,8 +330,8 @@ def ablation_alpha(config, train_ds: ImageDataset, test_ds: ImageDataset,
     results = {}
     for tag, variant_model in (
         ("a", model),
-        ("b", ThriftyNet(config, seed=seed, alpha_init=alpha_init)),
-        ("c", ThriftyNet(config, seed=seed + 1, alpha_init=alpha_init)),
+        ("b", ThriftyNet(config, seed=seed)),
+        ("c", ThriftyNet(config, seed=seed + 1)),
     ):
         variant_model.alpha.data[...] = binarized
         results[tag] = train(
@@ -429,3 +347,45 @@ def ablation_alpha(config, train_ds: ImageDataset, test_ds: ImageDataset,
         binarized_alpha=binarized,
         final_accs={tag: r.final_test_acc for tag, r in results.items()},
     )
+
+
+# ---------------------------------------------------------------------------
+# Trade-off sweeps
+# ---------------------------------------------------------------------------
+
+SWEEP_COLUMNS = ("f", "T", "h", "n_pools", "params_total", "macs_total",
+                 "test_acc", "status")
+
+
+def sweep(configs, train_ds, test_ds, train_config, input_hw: tuple[int, int],
+          repeats: int = 1, out_dir=None):
+    """Train every config with the shared settings; emit the trade-off table.
+
+    `input_hw` is the (H, W) of the images, at which the MACs are counted.
+
+    One seed per point by default; `repeats` > 1 averages over consecutive
+    seeds.  A failing run is recorded as a failed row and the sweep
+    continues.  Rows are emitted in config order.
+    """
+    rows = []
+    for config in configs:
+        params = planner.param_count(config)
+        macs = planner.mac_count(config, input_hw)
+        accs = []
+        status = "ok"
+        for r in range(repeats):
+            run_seed = train_config.seed + r
+            try:
+                model = ThriftyNet(config, seed=run_seed)
+                result = train(model, train_ds, test_ds,
+                               replace(train_config, seed=run_seed))
+                accs.append(result.best_test_acc)
+            except Exception as exc:  # noqa: BLE001 - sweep must survive bad points
+                status = f"failed: {type(exc).__name__}"
+                break
+        mean_acc = sum(accs) / len(accs) if accs else float("nan")
+        rows.append([config.filters, config.iterations, config.history,
+                     config.n_pools, params.total, macs.total, mean_acc, status])
+        if out_dir is not None:
+            write_csv(Path(out_dir) / "sweep.csv", SWEEP_COLUMNS, rows)
+    return rows

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: flags, config files, exit codes, determinism."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,38 @@ class TestTrain:
         assert len(rows) == 1  # the flag overrode the file's 5 epochs
         assert "epochs=1" in (out / "runspec.txt").read_text()
 
+    @pytest.mark.parametrize("row", ["0,0.1,1.0", "zero,0.1,2.3,10.0,10.0,0.0",
+                                     "0,0.1,2.3,10.0,250.0,0.0"],
+                             ids=["torn", "non_numeric_epoch", "accuracy_out_of_range"])
+    def test_malformed_metric_log_exits_3_on_resume(self, capsys, raw_dataset_files,
+                                                    tmp_path, row):
+        out = tmp_path / "run"
+        assert run(capsys, *train_args(raw_dataset_files, out, epochs=1))[0] == 0
+        metrics = out / "metrics.csv"
+        metrics.write_text(metrics.read_text().splitlines()[0] + "\n" + row + "\n")
+        code, _, err = run(capsys, *train_args(raw_dataset_files, out),
+                           "--resume", str(out / "last.ckpt"))
+        assert code == 3
+        assert f"{metrics}:2:" in err
+
+    @pytest.mark.parametrize("best", [float("nan"), 250.0])
+    def test_resume_rejects_a_best_accuracy_outside_0_100(self, capsys, raw_dataset_files,
+                                                          tmp_path, best):
+        out = tmp_path / "run"
+        assert run(capsys, *train_args(raw_dataset_files, out, epochs=1))[0] == 0
+        last = out / "last.ckpt"
+        blob = bytearray(last.read_bytes())
+        # the optimizer section follows the model: magic, next epoch, lambda, best
+        at = len((out / "best.ckpt").read_bytes()) + len(b"OPTSTATE1") + 4 + 8
+        blob[at : at + 8] = struct.pack("<d", best)
+        last.write_bytes(bytes(blob))
+        logged = (out / "metrics.csv").read_bytes()
+        code, _, err = run(capsys, *train_args(raw_dataset_files, out, epochs=3),
+                           "--resume", str(last))
+        assert code == 3
+        assert "best test accuracy" in err
+        assert (out / "metrics.csv").read_bytes() == logged
+
     @pytest.mark.parametrize("extra", [
         ("--lr", "nan"),
         ("--momentum", "inf"),
@@ -336,7 +369,7 @@ class TestEval:
                            "--raw-test", str(test_path))
         assert code == 0
         printed = float(out.split("test_acc=")[1])
-        final_logged = read_metric_log(trained_run / "metrics.csv")[-1][4]
+        final_logged = read_metric_log(trained_run / "metrics.csv")[-1].test_acc
         assert printed == pytest.approx(final_logged, abs=5e-5)
 
     def test_truncated_checkpoint_exits_3(self, capsys, raw_dataset_files,

@@ -1,8 +1,8 @@
 """Seeded fuzzing of the file readers.
 
-Truncated and byte-flipped copies of valid checkpoints and RAWT1 containers
-must either load or fail with CheckpointError / DataError, never with another
-exception, and the reader must not allocate more than a small fixed amount
+Truncated and byte-flipped copies of valid checkpoints, RAWT1 containers and
+metric logs must either load or fail with CheckpointError / DataError, never
+with another exception, and the reader must not allocate more than a small fixed amount
 while rejecting them (a flipped header can claim gigabytes of tensors).
 """
 
@@ -13,6 +13,7 @@ import pytest
 
 from thriftynet.data import load_raw, save_raw
 from thriftynet.errors import CheckpointError, DataError
+from thriftynet.metrics import MetricLog, MetricRow, read_metric_log, write_metric_log
 from thriftynet.model import ThriftyConfig, ThriftyNet, load_model, serialize_model
 from thriftynet.training import SGD, load_train_checkpoint, save_train_checkpoint
 
@@ -95,3 +96,15 @@ def test_raw_container(tmp_path):
     save_raw(path, rng.standard_normal((6, 3, 8, 8)).astype(np.float32),
              rng.integers(0, 10, size=6))
     fuzz(load_raw, tmp_path / "fuzzed.rawt", path.read_bytes(), [(0, 21)], seed=3)
+
+
+def test_metric_log(tmp_path):
+    # a resume reads metrics.csv back; a torn or edited one must be a DataError
+    log = MetricLog()
+    for epoch in range(4):
+        log.append(MetricRow(epoch, 0.1 / 3, 2.0 / (epoch + 1), 10.0 + epoch / 7,
+                             11.5 + epoch, 3e-4 * 1.00015 ** epoch))
+    path = tmp_path / "metrics.csv"
+    write_metric_log(log, path)
+    blob = path.read_bytes()
+    fuzz(read_metric_log, tmp_path / "fuzzed.csv", blob, [(0, blob.index(b"\n"))], seed=4)

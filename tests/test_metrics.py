@@ -1,4 +1,6 @@
-"""CSV round-trips, metric-log invariants, sweep table behavior."""
+"""CSV round-trips, metric-log invariants, atomic writes, manifests."""
+
+import os
 
 import numpy as np
 import pytest
@@ -49,8 +51,25 @@ class TestMetricLog:
         path = tmp_path / "log.csv"
         write_metric_log(log, path)
         parsed = read_metric_log(path)
-        for row, values in zip(log.rows, parsed):
-            assert values == row.values()
+        for row, read in zip(log.rows, parsed):
+            assert read.values() == row.values()
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # a resume reads metrics.csv back, so a crash must not leave it torn
+        log = MetricLog()
+        log.append(sample_row(0))
+        path = tmp_path / "metrics.csv"
+        write_metric_log(log, path)
+        old = path.read_bytes()
+        log.append(sample_row(1))
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            write_metric_log(log, path)
+        assert path.read_bytes() == old
 
     def test_wall_time_not_in_metric_csv(self, tmp_path):
         log = MetricLog()

@@ -1,5 +1,6 @@
 """Forward-pass contracts: shapes, recursion equivalence, init, checkpoints."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -540,6 +541,21 @@ class TestCheckpoints:
         path.write_bytes(blob + b"extra")
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # a crash mid-write must leave the old model or the new one, whole
+        config = small_config()
+        path = tmp_path / "best.ckpt"
+        save_model(ThriftyNet(config, seed=1), path)
+        old = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crashed"):
+            save_model(ThriftyNet(config, seed=2), path)
+        assert path.read_bytes() == old
 
     def test_deserialize_reports_consumed_bytes(self):
         config = small_config()

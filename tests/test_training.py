@@ -25,8 +25,8 @@ from thriftynet.training import (
     lr_at,
     save_train_checkpoint,
     train,
-    _atomic_write,
 )
+from thriftynet.metrics import atomic_write
 
 
 def tiny_model_config(history=2, filters=6, iterations=3):
@@ -427,6 +427,13 @@ class TestResume:
         with pytest.raises(CheckpointError):
             load_model(tmp_path / "junk.ckpt")
 
+    def test_run_leaves_no_temp_files(self, tiny_pair, tmp_path):
+        train_ds, test_ds = tiny_pair
+        train(ThriftyNet(tiny_model_config(), seed=19), train_ds, test_ds,
+              tiny_train_config(epochs=2), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["best.ckpt", "last.ckpt", "metrics.csv", "timing.csv"]
+
     def test_atomic_write_syncs_file_before_rename_then_directory(self, tmp_path,
                                                                    monkeypatch):
         path = tmp_path / "last.ckpt"
@@ -439,7 +446,7 @@ class TestResume:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", spy)
-        _atomic_write(path, b"payload")
+        atomic_write(path, b"payload")
         assert path.read_bytes() == b"payload"
         assert not (tmp_path / "last.ckpt.tmp").exists()
         assert synced == [(path.stat().st_ino, False, False),
