@@ -1,16 +1,25 @@
 """Command-line entry point.
 
 Subcommands: train, eval, plan, count, gradcheck, ablate,
-export-activations, sweep.  Flags may also be supplied through a key=value
-config file (``--config``); explicit flags override file values, and the
-fully resolved run spec is echoed into the output directory before any
-work starts.  Exit codes: 0 ok, 2 usage/configuration, 3 data/checkpoint,
-4 numerical failure.
+export-activations, sweep.  A command's settings are its flag groups in
+`build_parser`: the defaults, overridden by a ``--config`` file, overridden
+by explicit flags.  The resolved run spec is echoed into the output
+directory before any work starts.
+
+Config files and sweep manifests share one key=value format.  A pair ends
+where whitespace or a comma meets the next ``key=``, so ``schedule=1,2,1``
+is one pair and ``filters=12, iterations=6`` two.  ``#`` starts a comment
+and a dash in a key reads as an underscore.  A config file merges its
+lines, a later line winning; a manifest is one sweep point per line.  A
+pair without ``=``, an unknown key or a malformed value is a configuration
+error naming the file and line.  Exit codes: 0 ok, 2 usage/configuration,
+3 data/checkpoint, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,81 +53,69 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _number(kind, key: str, raw: str):
-    """kind(raw) for kind int or float; a malformed value is a
-    ConfigurationError naming the key and the value."""
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
-
-
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    return tuple(_number(int, key, tok) for tok in text.replace(",", " ").split())
-
-
 def _coerce(key: str, raw: str, like):
+    """`raw` as the type of `like`; a malformed value is a ConfigurationError
+    naming the key and the value."""
     if isinstance(like, bool):
-        lowered = raw.strip().lower()
+        lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
     if isinstance(like, (int, float)):
-        return _number(type(like), key, raw)
+        try:
+            return type(like)(raw)
+        except ValueError:
+            expected = "an integer" if isinstance(like, int) else "a number"
+            raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
     return raw
 
 
-def read_config_file(path) -> dict[str, str]:
-    values = {}
+def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
+    return tuple(_coerce(key, tok, 0) for tok in text.replace(",", " ").split())
+
+
+# a pair ends at whitespace or a comma that the next `key=` follows
+_PAIR_BREAK = re.compile(r"[\s,]+(?=[\w-]+\s*=)")
+
+
+def read_settings(path, defaults: dict) -> list[dict]:
+    """One dict of settings, typed like `defaults`, per non-blank line of a
+    config file or manifest (the format is in the module docstring)."""
+    lines = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        text = line.split("#", 1)[0].strip()
+        if not text:
             continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        settings = {}
+        for pair in _PAIR_BREAK.split(text):
+            key, eq, value = pair.partition("=")
+            key, where = key.strip().replace("-", "_"), f"{path}:{lineno}"
+            if not eq:
+                raise ConfigurationError(f"{where}: expected key=value, got {pair!r}")
+            if key not in defaults:
+                raise ConfigurationError(f"{where}: unknown key {key!r}")
+            try:
+                settings[key] = _coerce(key, value.strip(), defaults[key])
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
+        lines.append(settings)
+    return lines
 
 
-class RunSpec:
-    """Merged view of defaults, config file, and explicit flags."""
-
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.defaults = defaults
-        self.file_values: dict[str, str] = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            if not Path(config_path).is_file():
-                raise ConfigurationError(f"config file not found: {config_path}")
-            self.file_values = read_config_file(config_path)
-        self.resolved: dict = {}
-        for key, default in defaults.items():
-            cli_value = getattr(args, key, None)
-            if cli_value is not None:
-                self.resolved[key] = cli_value
-            elif key in self.file_values:
-                self.resolved[key] = _coerce(key, self.file_values[key], default)
-            else:
-                self.resolved[key] = default
-        unknown = set(self.file_values) - set(defaults)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown keys in config file: {sorted(unknown)}"
-            )
-
-    def __getattr__(self, key):
-        try:
-            return self.resolved[key]
-        except KeyError as exc:
-            raise AttributeError(key) from exc
-
-    def echo(self, path: Path) -> None:
-        lines = [f"{key}={self.resolved[key]}" for key in sorted(self.resolved)]
-        metrics_mod.atomic_write(path, ("\n".join(lines) + "\n").encode())
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's settings: its defaults, overridden by the --config
+    file, overridden by explicit flags."""
+    spec = dict(args.defaults)
+    if args.config:
+        if not Path(args.config).is_file():
+            raise ConfigurationError(f"config file not found: {args.config}")
+        for settings in read_settings(args.config, args.defaults):
+            spec.update(settings)
+    spec.update((key, getattr(args, key)) for key in args.defaults
+                if getattr(args, key) is not None)
+    return argparse.Namespace(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +181,8 @@ ABLATE_DEFAULTS = {"phase1_epochs": 150, "phase2_epochs": 150}
 
 SWEEP_DEFAULTS = {"repeats": 1}  # seeds per sweep point
 
+GRADCHECK_DEFAULTS = {"seed": 0, "tolerance": 1e-4}  # tolerance: max relative error
+
 
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     for key, default in defaults.items():
@@ -202,10 +201,9 @@ def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
 
 
 def _build_schedule(spec) -> tuple[int, ...]:
-    text = str(spec.schedule)
-    if text in ("regular", "front_loaded"):
-        return planner.make_schedule(spec.iterations, spec.pools, text)
-    return validate_schedule(_parse_int_list("schedule", text), spec.iterations)
+    if spec.schedule in ("regular", "front_loaded"):
+        return planner.make_schedule(spec.iterations, spec.pools, spec.schedule)
+    return validate_schedule(_parse_int_list("schedule", spec.schedule), spec.iterations)
 
 
 def _build_model_config(spec, num_classes: int, input_channels: int) -> ThriftyConfig:
@@ -288,7 +286,8 @@ def _train_config(spec) -> TrainConfig:
 def _prepare_out(spec, out: str) -> Path:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec.echo(out_dir / "runspec.txt")
+    lines = [f"{key}={value}" for key, value in sorted(vars(spec).items())]
+    metrics_mod.atomic_write(out_dir / "runspec.txt", ("\n".join(lines) + "\n").encode())
     return out_dir
 
 
@@ -297,8 +296,7 @@ def _prepare_out(spec, out: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS})
+def cmd_train(spec, args) -> int:
     train_config = _train_config(spec)
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
@@ -314,8 +312,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    spec = RunSpec(args, dict(DATA_DEFAULTS))
+def cmd_eval(spec, args) -> int:
     model = load_model(args.checkpoint)
     _, test_ds = _load_datasets(spec)
     if test_ds.class_count != model.config.num_classes:
@@ -328,8 +325,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_count(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, **COUNT_DEFAULTS})
+def cmd_count(spec, args) -> int:
     # the counts read no input_channels; 1 is valid for every filter count
     config = _build_model_config(spec, spec.classes, input_channels=1)
     counts = planner.param_count(config)
@@ -345,15 +341,14 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, **PLAN_DEFAULTS})
+def cmd_plan(spec, args) -> int:
     iteration_values = (_parse_int_list("iterations_list", spec.iterations_list)
                         or (spec.iterations,))
     pool_values = _parse_int_list("pools_list", spec.pools_list) or (spec.pools,)
     rows = []
     for iterations in iteration_values:
         for pools in pool_values:
-            row_spec = argparse.Namespace(**{**spec.resolved, "iterations": iterations,
+            row_spec = argparse.Namespace(**{**vars(spec), "iterations": iterations,
                                              "pools": pools})
             config = _build_model_config(row_spec, spec.classes, input_channels=1)
             rows.append(planner.plan_row(config, (spec.input_size, spec.input_size)))
@@ -367,9 +362,9 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    results = summarize_groups(check_model_gradients(seed=args.seed,
-                                                     tol=args.tolerance))
+def cmd_gradcheck(spec, args) -> int:
+    results = summarize_groups(check_model_gradients(seed=spec.seed,
+                                                     tol=spec.tolerance))
     failed = False
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -381,9 +376,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    spec = RunSpec(args, {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS,
-                          **ABLATE_DEFAULTS})
+def cmd_ablate(spec, args) -> int:
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     if config.history < 1:
@@ -409,8 +402,7 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_activations(args) -> int:
-    spec = RunSpec(args, dict(DATA_DEFAULTS))
+def cmd_export_activations(spec, args) -> int:
     model = load_model(args.checkpoint)
     train_ds, _ = _load_datasets(spec)
     matrix = mean_activations(model, train_ds.images)
@@ -419,22 +411,14 @@ def cmd_export_activations(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    spec = RunSpec(args, {**DATA_DEFAULTS, **TRAIN_DEFAULTS, **SWEEP_DEFAULTS})
-    entries = metrics_mod.parse_manifest(args.manifest)
-    if not entries:
+def cmd_sweep(spec, args) -> int:
+    points = read_settings(args.manifest, ARCH_DEFAULTS)
+    if not points:
         raise ConfigurationError(f"manifest {args.manifest} lists no configs")
     train_ds, test_ds = _load_datasets(spec)
-    configs = []
-    for entry in entries:
-        merged = dict(ARCH_DEFAULTS)
-        for key, value in entry.items():
-            if key not in merged:
-                raise ConfigurationError(f"unknown manifest key {key!r}")
-            merged[key] = _coerce(key, value, merged[key])
-        entry_spec = argparse.Namespace(**merged)
-        configs.append(_build_model_config(entry_spec, train_ds.class_count,
-                                           train_ds.images.shape[1]))
+    configs = [_build_model_config(argparse.Namespace(**{**ARCH_DEFAULTS, **point}),
+                                   train_ds.class_count, train_ds.images.shape[1])
+               for point in points]
     out_dir = _prepare_out(spec, args.out)
     rows = sweep(configs, train_ds, test_ds, _train_config(spec),
                  train_ds.images.shape[2:], spec.repeats, out_dir)
@@ -455,15 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def new_command(name, func, help_text, flag_groups=(), **extra):
+    def new_command(name, func, help_text, flag_groups, **extra):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None,
                          help="key=value file; explicit flags override it")
-        for group in flag_groups:
-            _add_flags(cmd, group)
+        defaults = {key: value for group in flag_groups for key, value in group.items()}
+        _add_flags(cmd, defaults)
         for flag, kwargs in extra.items():
             cmd.add_argument(flag, **kwargs)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, defaults=defaults)
         return cmd
 
     new_command(
@@ -490,12 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     new_command(
         "gradcheck", cmd_gradcheck, "verify analytic gradients per group",
-        (),
-        **{
-            "--seed": dict(type=int, default=0, help="rng seed (default: 0)"),
-            "--tolerance": dict(type=float, default=1e-4,
-                                help="max relative error allowed (default: 0.0001)"),
-        },
+        (GRADCHECK_DEFAULTS,),
     )
     new_command(
         "ablate", cmd_ablate, "shortcut binarization/freezing study",
@@ -518,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         (DATA_DEFAULTS, TRAIN_DEFAULTS, SWEEP_DEFAULTS),
         **{
             "--manifest": dict(required=True,
-                               help="file with one key=value config per line"),
+                               help="key=value file in the --config format, one "
+                                    "sweep point of architecture keys per line"),
             "--out": dict(default="runs/sweep", help="output directory (default: runs/sweep)"),
         },
     )
@@ -532,7 +512,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(resolve(args), args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

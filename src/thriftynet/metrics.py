@@ -13,11 +13,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigurationError, DataError
 
 METRIC_COLUMNS = ("epoch", "lr", "train_loss", "train_acc", "test_acc", "lambda")
+TIMING_COLUMNS = ("epoch", "wall_time_s")
 
 
 @dataclass
@@ -68,11 +69,15 @@ def atomic_write(path, blob: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     dir_fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
@@ -112,24 +117,31 @@ def write_metric_log(log: MetricLog, path) -> None:
 
 
 def write_timing(log: MetricLog, path) -> None:
-    write_csv(path, ("epoch", "wall_time_s"),
-              [(row.epoch, row.wall_time_s) for row in log.rows])
+    write_csv(path, TIMING_COLUMNS, [(row.epoch, row.wall_time_s) for row in log.rows])
+
+
+def _numeric_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, list[float]]]:
+    """(line number, cells) of each row of a CSV written with `columns`.  A
+    torn or non-numeric row, or a non-integral epoch, is a DataError naming
+    the file and line."""
+    header, rows = read_csv(path)
+    if header != list(columns):
+        raise DataError(f"{path} has header {header}, expected {list(columns)}")
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != len(columns):
+            raise DataError(f"{path}:{lineno}: {len(cells)} cells, expected {len(columns)}")
+        if any(isinstance(cell, str) for cell in cells):
+            raise DataError(f"{path}:{lineno}: non-numeric cell in {cells}")
+        if not cells[0].is_integer():
+            raise DataError(f"{path}:{lineno}: epoch {cells[0]} is not an integer")
+        yield lineno, cells
 
 
 def read_metric_log(path) -> list[MetricRow]:
     """The rows of a metrics.csv, held to what `MetricLog.append` holds a new
     row to.  A torn or malformed row is a DataError naming the file and line."""
-    header, rows = read_csv(path)
-    if header != list(METRIC_COLUMNS):
-        raise DataError(f"{path} has header {header}, expected {list(METRIC_COLUMNS)}")
     log = MetricLog()
-    for lineno, cells in enumerate(rows, start=2):
-        if len(cells) != len(METRIC_COLUMNS):
-            raise DataError(f"{path}:{lineno}: {len(cells)} cells, expected {len(METRIC_COLUMNS)}")
-        if any(isinstance(cell, str) for cell in cells):
-            raise DataError(f"{path}:{lineno}: non-numeric cell in {cells}")
-        if not cells[0].is_integer():
-            raise DataError(f"{path}:{lineno}: epoch {cells[0]} is not an integer")
+    for lineno, cells in _numeric_rows(path, METRIC_COLUMNS):
         try:
             log.append(MetricRow(int(cells[0]), *cells[1:]))
         except ConfigurationError as exc:
@@ -137,28 +149,17 @@ def read_metric_log(path) -> list[MetricRow]:
     return log.rows
 
 
+def read_timing(path) -> dict[int, float]:
+    """Epoch -> wall seconds, from a timing.csv; a malformed row is a
+    DataError naming the file and line."""
+    return {int(epoch): wall for _, (epoch, wall) in _numeric_rows(path, TIMING_COLUMNS)}
+
+
 def write_matrix_csv(matrix, path) -> None:
     """T x f matrix with a leading index column."""
     header = ["t"] + [f"c{j}" for j in range(matrix.shape[1])]
     rows = [[i, *(float(v) for v in matrix[i])] for i in range(matrix.shape[0])]
     write_csv(path, header, rows)
-
-
-def parse_manifest(path) -> list[dict]:
-    """One sweep point per non-blank line of key=value pairs."""
-    entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        entry = {}
-        for token in line.replace(",", " ").split():
-            if "=" not in token:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {token!r}")
-            key, value = token.split("=", 1)
-            entry[key] = value
-        entries.append(entry)
-    return entries
 
 
 def now() -> float:

@@ -182,30 +182,21 @@ def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
 class ThriftyNet:
     """Model instance: a config plus its parameters and batch-norm state."""
 
-    def __init__(self, config: ThriftyConfig, seed: int = 0, dtype=np.float32,
-                 alpha_init: str = "identity"):
+    def __init__(self, config: ThriftyConfig, seed: int = 0, dtype=np.float32):
         dtype = np.dtype(dtype)
         f, t, k = config.filters, config.iterations, config.num_classes
         rng = np.random.default_rng(seed)
         # Draw order is part of the checkpoint/replay contract: conv weights,
-        # FC weights, then alpha, so that the alpha_init choice never shifts
-        # the stream behind the shared weights.
+        # then FC weights.
         conv = []
         for shape in _conv_shapes(config):
             fan = math.prod(shape[1:])
             conv.append(_glorot_uniform(rng, shape, fan, fan, dtype))
         fc_w = _glorot_uniform(rng, (f, k), f, k, dtype)
         alpha = []
-        if config.residual:
-            if alpha_init == "identity":
-                alpha = [np.zeros((t, config.history + 1), dtype=dtype)]
-                alpha[0][:, 0] = 1.0
-            elif alpha_init == "uniform":
-                alpha = [rng.uniform(0.0, 1.0, size=(t, config.history + 1)).astype(dtype)]
-            else:
-                raise ConfigurationError(
-                    f"alpha_init must be 'identity' or 'uniform', got {alpha_init!r}"
-                )
+        if config.residual:  # lag 0 alone: the residual net starts as the plain one
+            alpha = [np.zeros((t, config.history + 1), dtype=dtype)]
+            alpha[0][:, 0] = 1.0
         # per iteration: gamma, beta, running_mean, running_var
         bn = [np.full(f, v, dtype=dtype) for _ in range(t) for v in (1, 0, 0, 1)]
         self._assemble(config, dtype, [*conv, *bn, *alpha, fc_w, np.zeros(k, dtype=dtype)])

@@ -27,8 +27,8 @@ import numpy as np
 from . import planner
 from .data import ImageDataset, augment_batch, batches
 from .errors import ConfigurationError, DataError, NumericalError
-from .metrics import (MetricLog, MetricRow, now, read_metric_log, write_csv,
-                      write_metric_log, write_timing)
+from .metrics import (MetricLog, MetricRow, now, read_metric_log, read_timing,
+                      write_csv, write_metric_log, write_timing)
 from .model import ThriftyNet, load_train_checkpoint, save_model, save_train_checkpoint
 from .tensor import Tape, Value, softmax_cross_entropy
 
@@ -209,8 +209,11 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     if resume_from is not None:
         start_epoch, lam, best_acc = load_train_checkpoint(resume_from, model, opt)
         if out_dir is not None and (Path(out_dir) / "metrics.csv").is_file():
+            timing = Path(out_dir) / "timing.csv"
+            wall_times = read_timing(timing) if timing.is_file() else {}
             for row in read_metric_log(Path(out_dir) / "metrics.csv"):
                 if row.epoch < start_epoch:
+                    row.wall_time_s = wall_times.get(row.epoch, 0.0)
                     log.append(row)
 
     out = Path(out_dir) if out_dir is not None else None

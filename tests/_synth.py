@@ -4,7 +4,8 @@ Ten classes of oriented sinusoidal gratings with class-specific color
 mixes, per-instance phase/shift/noise variation.  Learnable by a small
 model yet non-trivial, and cheap to generate at any size.  `write_cifar10_dir`
 emits the byte-exact CIFAR-10 binary layout so loader paths can be
-exercised without the real corpus.
+exercised without the real corpus.  `uniform_alpha` gives a model shortcut
+coefficients that all carry weight.
 """
 
 from pathlib import Path
@@ -80,3 +81,13 @@ def write_cifar10_dir(directory, train_images, train_labels, test_images,
         cifar10_records(test_images, test_labels)
     )
     return directory
+
+
+def uniform_alpha(model, seed: int):
+    """Replace the model's identity alpha with uniform [0, 1) draws, so that
+    every lag is in play; returns the model.  The draws continue the seeded
+    stream past the conv and FC weights that `ThriftyNet(config, seed)` drew."""
+    rng = np.random.default_rng(seed)
+    rng.random(sum(k.weights.data.size for k in model.kernels) + model.fc_w.data.size)
+    model.alpha.data = rng.uniform(0.0, 1.0, model.alpha.data.shape).astype(model.dtype)
+    return model

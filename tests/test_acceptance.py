@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from _synth import uniform_alpha
 from thriftynet.data import ImageDataset, class_balanced_subset, load_cifar10
 from thriftynet.errors import DataError
 from thriftynet.gradcheck import (
@@ -219,7 +220,7 @@ def test_acceptance_7b_annealing_pulls_alpha_to_wells(cifar10_loaded):
     subset = fixed_64_sample_subset(train_ds)
     config = ThriftyConfig(filters=8, iterations=6,
                            schedule=make_schedule(6, 2), history=3)
-    model = ThriftyNet(config, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(config, seed=1), seed=1)
     before = alpha_well_distance(model.alpha.data)
     train(model, subset, subset, TrainConfig(
         epochs=150, lr0=0.1, lr_drops=(50, 100), batch_size=16, seed=1,

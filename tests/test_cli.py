@@ -11,7 +11,8 @@ import pytest
 
 import thriftynet
 import thriftynet.tensor
-from thriftynet.cli import main
+from thriftynet.cli import ARCH_DEFAULTS, main, read_settings
+from thriftynet.errors import ConfigurationError
 from thriftynet.metrics import read_csv, read_metric_log
 
 
@@ -437,6 +438,13 @@ class TestGradcheck:
         assert code == 4
         assert "fc_w: FAIL" in out
 
+    def test_config_file_sets_the_tolerance(self, capsys, tmp_path):
+        config = tmp_path / "strict.cfg"
+        config.write_text("tolerance = 0\n")
+        code, out, _ = run(capsys, "gradcheck", "--config", str(config))
+        assert code == 4
+        assert "tol=0.0e+00" in out
+
 
 class TestExportActivations:
     def test_matrix_csv(self, capsys, raw_dataset_files, tmp_path):
@@ -513,6 +521,34 @@ class TestSweep:
         header, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 2
 
+    def test_explicit_schedule_in_manifest(self, capsys, raw_dataset_files, tmp_path):
+        train_path, test_path = raw_dataset_files
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=6 iterations=3 history=0 schedule=1,2,1  # one pool\n")
+        out = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", "--manifest", str(manifest),
+            "--dataset", "raw", "--raw-train", str(train_path),
+            "--raw-test", str(test_path), "--epochs", "1", "--lr-drops", "",
+            "--batch-size", "64", "--no-augment", "--out", str(out),
+        )
+        assert code == 0, err
+        header, rows = read_csv(out / "sweep.csv")
+        assert rows[0][header.index("n_pools")] == 1
+        assert rows[0][-1] == "ok"
+
+    def test_pair_without_equals_exits_2(self, capsys, raw_dataset_files, tmp_path):
+        train_path, test_path = raw_dataset_files
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=6 iterations=3\nfilters 6\n")
+        code, _, err = run(
+            capsys, "sweep", "--manifest", str(manifest), "--dataset", "raw",
+            "--raw-train", str(train_path), "--raw-test", str(test_path),
+            "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 2
+        assert f"{manifest}:2:" in err
+
     def test_macs_are_counted_at_the_data_size(self, capsys, tmp_path):
         from thriftynet.data import save_raw
         from thriftynet.model import MacTally, ThriftyConfig, ThriftyNet
@@ -553,3 +589,37 @@ class TestSweep:
             "--out", str(tmp_path / "sweep"),
         )
         assert code == 2
+
+
+class TestManifest:
+    """`read_settings` reads config files and manifests: one dict per line."""
+
+    def test_parses_lines(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        path.write_text(
+            "# comment\n"
+            "filters=8 iterations=4 pools=1\n"
+            "\n"
+            "filters=12, iterations=6, history=2\n"
+        )
+        entries = read_settings(path, ARCH_DEFAULTS)
+        assert entries == [
+            {"filters": 8, "iterations": 4, "pools": 1},
+            {"filters": 12, "iterations": 6, "history": 2},
+        ]
+
+    def test_malformed_token_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("filters 8\n")
+        with pytest.raises(ConfigurationError, match="bad.txt:1:"):
+            read_settings(path, ARCH_DEFAULTS)
+
+    def test_config_line_with_several_pairs(self, tmp_path):
+        # dashed keys, spaces round '=', a value's own commas, a trailing comment
+        path = tmp_path / "run.cfg"
+        path.write_text("filters = 8, budget-convention=table1  # note\n"
+                        "schedule = 1,2,1 iterations=3\n")
+        assert read_settings(path, ARCH_DEFAULTS) == [
+            {"filters": 8, "budget_convention": "table1"},
+            {"schedule": "1,2,1", "iterations": 3},
+        ]

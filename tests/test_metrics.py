@@ -1,4 +1,4 @@
-"""CSV round-trips, metric-log invariants, atomic writes, manifests."""
+"""CSV round-trips, metric-log invariants, atomic writes."""
 
 import os
 
@@ -10,7 +10,6 @@ from thriftynet.metrics import (
     METRIC_COLUMNS,
     MetricLog,
     MetricRow,
-    parse_manifest,
     read_csv,
     read_metric_log,
     write_csv,
@@ -70,6 +69,7 @@ class TestMetricLog:
         with pytest.raises(OSError, match="crashed"):
             write_metric_log(log, path)
         assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
 
     def test_wall_time_not_in_metric_csv(self, tmp_path):
         log = MetricLog()
@@ -115,25 +115,3 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DataError):
             read_csv(path)
-
-
-class TestManifest:
-    def test_parses_lines(self, tmp_path):
-        path = tmp_path / "sweep.txt"
-        path.write_text(
-            "# comment\n"
-            "filters=8 iterations=4 pools=1\n"
-            "\n"
-            "filters=12, iterations=6, history=2\n"
-        )
-        entries = parse_manifest(path)
-        assert entries == [
-            {"filters": "8", "iterations": "4", "pools": "1"},
-            {"filters": "12", "iterations": "6", "history": "2"},
-        ]
-
-    def test_malformed_token_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("filters 8\n")
-        with pytest.raises(DataError):
-            parse_manifest(path)

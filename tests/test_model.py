@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _layout import nhwc
+from _synth import uniform_alpha
 from thriftynet.errors import CheckpointError, ConfigurationError, DataError
 from thriftynet.gradcheck import check_model_gradients, finite_difference, max_rel_error
 from thriftynet.model import (
@@ -369,15 +370,6 @@ class TestInitialization:
         assert weights.size >= 10_000
         assert abs(weights.mean()) < 0.01
 
-    def test_alpha_init_choice_leaves_shared_weights_alone(self):
-        config = small_config(history=2)
-        identity = ThriftyNet(config, seed=19, alpha_init="identity")
-        uniform = ThriftyNet(config, seed=19, alpha_init="uniform")
-        np.testing.assert_array_equal(identity.kernels[0].weights.data,
-                                      uniform.kernels[0].weights.data)
-        np.testing.assert_array_equal(identity.fc_w.data, uniform.fc_w.data)
-        assert (uniform.alpha.data != identity.alpha.data).any()
-
 
 class TestTrainableEnumeration:
     @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
@@ -439,8 +431,8 @@ class TestChunkedEval:
     def test_chunked_equals_one_pass(self, conv_mode, num_classes):
         # 150 images run as two chunks of 75; the 100-class head GEMM gives
         # other bits on any fewer rows than the whole batch
-        model = ThriftyNet(paper_shape(conv_mode, num_classes), seed=1,
-                           alpha_init="uniform")
+        model = uniform_alpha(ThriftyNet(paper_shape(conv_mode, num_classes), seed=1),
+                              seed=1)
         x = random_input(model.config, n=150, hw=16, seed=2)
         model.forward(x, mode="train")  # running stats that are not the identity
         for cur in model.iterate(x, mode="eval"):
@@ -450,7 +442,7 @@ class TestChunkedEval:
 
     @pytest.mark.parametrize("conv_mode", ["classical", "grouped"])
     def test_logits_do_not_depend_on_the_batch(self, conv_mode):
-        model = ThriftyNet(paper_shape(conv_mode, 10), seed=3, alpha_init="uniform")
+        model = uniform_alpha(ThriftyNet(paper_shape(conv_mode, 10), seed=3), seed=3)
         x = random_input(model.config, n=200, hw=16, seed=4)
         full = model.forward(x, mode="eval").data  # chunks of 66, 67, 67
         for lo, hi in ((0, 64), (30, 130), (70, 200)):

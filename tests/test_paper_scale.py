@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 
+from _synth import uniform_alpha
 from thriftynet.gradcheck import max_rel_error
 from thriftynet.model import ThriftyConfig, ThriftyNet
 from thriftynet.planner import make_schedule
@@ -26,8 +27,8 @@ def test_float32_gradients_track_float64_at_paper_depth():
     # Batch norm's per-channel sums run over 16*32*32 values per channel at
     # t=0..2; summed row after row in float32 they move these gradients
     # about ten times past the bound.
-    m32 = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
-    m64 = ThriftyNet(PAPER, seed=1, dtype=np.float64, alpha_init="uniform")
+    m32 = uniform_alpha(ThriftyNet(PAPER, seed=1), seed=1)
+    m64 = ThriftyNet(PAPER, seed=1, dtype=np.float64)
     for (_, v64), (_, v32) in zip(m64.trainables(), m32.trainables()):
         v64.data = v32.data.astype(np.float64)  # the very same weights
     rng = np.random.default_rng(3)
@@ -54,7 +55,7 @@ def traced_step(batch: int) -> tuple[int, int]:
     """(bytes held after the forward, step peak) of one training step at
     `batch`, traced by tracemalloc (numpy reports its buffers to it) after
     an untraced warm-up step: lazy imports and first-use allocations."""
-    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(PAPER, seed=1), seed=1)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
     labels = rng.integers(0, 10, size=batch)
@@ -104,7 +105,7 @@ def test_paper_eval_forward_gathers_patches_in_small_chunks():
     # An untaped batch-16 forward, traced by tracemalloc after a warm-up.
     # A conv that gathered the patch matrix of the whole batch at once
     # (37.7 MB at 32x32) peaked at 68 MB.
-    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(PAPER, seed=1), seed=1)
     x = np.random.default_rng(6).standard_normal((16, 3, 32, 32)).astype(np.float32)
     model.forward(x, mode="eval")  # warm-up: lazy imports and first-use allocations
     tracemalloc.start()
@@ -122,7 +123,7 @@ def test_paper_eval_forward_holds_one_iteration_of_transients():
     # channels, a full-size temporary per lag in the shortcut sum, and
     # keeping the conv output, the activation and the shortcut sum alive
     # through batch norm and pooling peaked at 113-118 MB.
-    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(PAPER, seed=1), seed=1)
     x = np.random.default_rng(6).standard_normal((64, 3, 32, 32)).astype(np.float32)
     model.forward(x, mode="eval")  # warm-up: lazy imports and first-use allocations
     tracemalloc.start()
@@ -138,7 +139,7 @@ def test_paper_eval_forward_runs_in_image_chunks():
     # An untaped batch-500 forward, traced by tracemalloc after a warm-up.
     # One pass over the whole batch held 500 images' activations and
     # peaked at 531 MB; chunks of 71-72 images peak at about 77 MB.
-    model = ThriftyNet(PAPER, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(PAPER, seed=1), seed=1)
     x = np.random.default_rng(7).standard_normal((500, 3, 32, 32)).astype(np.float32)
     model.forward(x[:64], mode="eval")  # warm-up: lazy imports and first-use allocations
     tracemalloc.start()

@@ -427,6 +427,30 @@ class TestResume:
         with pytest.raises(CheckpointError):
             load_model(tmp_path / "junk.ckpt")
 
+    def test_resume_keeps_earlier_wall_times(self, tiny_pair, tmp_path):
+        # metrics.csv holds no wall time; timing.csv keeps the earlier epochs'
+        train_ds, test_ds = tiny_pair
+        train(ThriftyNet(tiny_model_config(), seed=20), train_ds, test_ds,
+              tiny_train_config(epochs=2), out_dir=tmp_path)
+        before = (tmp_path / "timing.csv").read_text().splitlines()
+        train(ThriftyNet(tiny_model_config(), seed=20), train_ds, test_ds,
+              tiny_train_config(epochs=3), out_dir=tmp_path,
+              resume_from=tmp_path / "last.ckpt")
+        after = (tmp_path / "timing.csv").read_text().splitlines()
+        assert len(after) == 4 and after[:3] == before
+
+    def test_malformed_timing_is_a_data_error(self, tiny_pair, tmp_path):
+        train_ds, test_ds = tiny_pair
+        train(ThriftyNet(tiny_model_config(), seed=20), train_ds, test_ds,
+              tiny_train_config(epochs=1), out_dir=tmp_path)
+        timing = tmp_path / "timing.csv"
+        timing.write_text("epoch,wall_time_s\n0,fast\n")
+        with pytest.raises(DataError) as excinfo:
+            train(ThriftyNet(tiny_model_config(), seed=20), train_ds, test_ds,
+                  tiny_train_config(epochs=2), out_dir=tmp_path,
+                  resume_from=tmp_path / "last.ckpt")
+        assert f"{timing}:2:" in str(excinfo.value)
+
     def test_run_leaves_no_temp_files(self, tiny_pair, tmp_path):
         train_ds, test_ds = tiny_pair
         train(ThriftyNet(tiny_model_config(), seed=19), train_ds, test_ds,

@@ -9,7 +9,7 @@ implementation's first verified runs.
 import numpy as np
 import pytest
 
-from _synth import standardized_pair
+from _synth import standardized_pair, uniform_alpha
 from thriftynet.data import ImageDataset, class_balanced_subset
 from thriftynet.model import ThriftyConfig, ThriftyNet
 from thriftynet.planner import make_schedule, solve_filters
@@ -67,7 +67,7 @@ def test_annealed_penalty_pulls_alpha_to_wells(synth_pair):
     subset = sixty_four_samples(train_full)
     config = ThriftyConfig(filters=8, iterations=6,
                            schedule=make_schedule(6, 2), history=3)
-    model = ThriftyNet(config, seed=1, alpha_init="uniform")
+    model = uniform_alpha(ThriftyNet(config, seed=1), seed=1)
     before = alpha_well_distance(model.alpha.data)
     train(model, subset, subset, TrainConfig(
         epochs=30, lr0=0.1, lr_drops=(10, 20), batch_size=8, seed=1,
