@@ -11,9 +11,10 @@ where whitespace or a comma meets the next ``key=``, so ``schedule=1,2,1``
 is one pair and ``filters=12, iterations=6`` two.  ``#`` starts a comment
 and a dash in a key reads as an underscore.  A config file merges its
 lines, a later line winning; a manifest is one sweep point per line.  A
-pair without ``=``, an unknown key or a malformed value is a configuration
-error naming the file and line.  Exit codes: 0 ok, 2 usage/configuration,
-3 data/checkpoint, 4 numerical failure.
+pair without ``=``, an unknown key, a malformed value or a value below its
+floor in `SETTING_FLOORS` is a configuration error naming the file and
+line; a file that is not UTF-8 is one naming the file.  Exit codes: 0 ok,
+2 usage/configuration, 3 data/checkpoint, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -80,11 +81,22 @@ def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
 _PAIR_BREAK = re.compile(r"[\s,]+(?=[\w-]+\s*=)")
 
 
+def _check_floor(key: str, value) -> None:
+    floor = SETTING_FLOORS.get(key)
+    if floor is not None and value < floor:
+        raise ConfigurationError(f"{key} must be >= {floor}, got {value}")
+
+
 def read_settings(path, defaults: dict) -> list[dict]:
     """One dict of settings, typed like `defaults`, per non-blank line of a
     config file or manifest (the format is in the module docstring)."""
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: byte {exc.start} "
+                                 f"cannot be decoded") from None
     lines = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -98,6 +110,7 @@ def read_settings(path, defaults: dict) -> list[dict]:
                 raise ConfigurationError(f"{where}: unknown key {key!r}")
             try:
                 settings[key] = _coerce(key, value.strip(), defaults[key])
+                _check_floor(key, settings[key])
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
         lines.append(settings)
@@ -115,6 +128,8 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
             spec.update(settings)
     spec.update((key, getattr(args, key)) for key in args.defaults
                 if getattr(args, key) is not None)
+    for key, value in spec.items():
+        _check_floor(key, value)
     return argparse.Namespace(**spec)
 
 
@@ -183,6 +198,11 @@ SWEEP_DEFAULTS = {"repeats": 1}  # seeds per sweep point
 
 GRADCHECK_DEFAULTS = {"seed": 0, "tolerance": 1e-4}  # tolerance: max relative error
 
+# the least value a setting may take; below it the setting would fail deep in
+# numpy or silently mean something else
+SETTING_FLOORS = {"filters": 0, "seed": 0, "limit_train": 0, "limit_test": 0,
+                  "repeats": 1}
+
 
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     for key, default in defaults.items():
@@ -228,10 +248,9 @@ def _build_model_config(spec, num_classes: int, input_channels: int) -> ThriftyC
 
 
 def _load_datasets(spec):
-    if spec.dataset == "cifar10":
-        train_ds, test_ds = data_mod.load_cifar10(spec.data_dir)
-    elif spec.dataset == "cifar100":
-        train_ds, test_ds = data_mod.load_cifar100(spec.data_dir)
+    if spec.dataset in ("cifar10", "cifar100"):
+        classes = int(spec.dataset.removeprefix("cifar"))
+        train_ds, test_ds = data_mod.load_cifar(spec.data_dir, classes)
     elif spec.dataset == "raw":
         if not spec.raw_train or not spec.raw_test:
             raise ConfigurationError(
@@ -377,14 +396,13 @@ def cmd_gradcheck(spec, args) -> int:
 
 
 def cmd_ablate(spec, args) -> int:
+    # phase 1 always anneals the penalty, whether or not --alpha-reg is given
+    base = _train_config(argparse.Namespace(**{**vars(spec), "alpha_reg": True}))
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
     if config.history < 1:
         raise ConfigurationError("the shortcut study needs --history >= 1")
     out_dir = _prepare_out(spec, args.out)
-    base = _train_config(spec)
-    if base.alpha_reg is None:
-        base = replace(base, alpha_reg=AlphaRegConfig(spec.lambda0, spec.eps))
     report = ablation_alpha(config, train_ds, test_ds, base,
                             phase1_epochs=spec.phase1_epochs,
                             phase2_epochs=spec.phase2_epochs, out_dir=out_dir)
@@ -412,6 +430,7 @@ def cmd_export_activations(spec, args) -> int:
 
 
 def cmd_sweep(spec, args) -> int:
+    train_config = _train_config(spec)
     points = read_settings(args.manifest, ARCH_DEFAULTS)
     if not points:
         raise ConfigurationError(f"manifest {args.manifest} lists no configs")
@@ -420,8 +439,7 @@ def cmd_sweep(spec, args) -> int:
                                    train_ds.class_count, train_ds.images.shape[1])
                for point in points]
     out_dir = _prepare_out(spec, args.out)
-    rows = sweep(configs, train_ds, test_ds, _train_config(spec),
-                 train_ds.images.shape[2:], spec.repeats, out_dir)
+    rows = sweep(configs, train_ds, test_ds, train_config, spec.repeats, out_dir)
     for row in rows:
         print(",".join(str(v) for v in row))
     return EXIT_OK

@@ -1,10 +1,10 @@
-"""Bit-exact CIFAR binary ingestion, standardization, augmentation, batching.
+"""Bit-exact CIFAR binary ingestion, standardization, augmentation.
 
 CIFAR-10 batches are 3073-byte records (label byte + 3072 pixel bytes,
 channel-planar R/G/B, row-major), CIFAR-100 uses 3074-byte records (coarse
-label, fine label, pixels).  Pixels are scaled to [0,1] and standardized
-with per-channel mean/std computed once from the train split; no hardcoded
-normalization constants.
+label, fine label, pixels); one reader serves both.  Pixels are scaled to
+[0,1] and standardized with per-channel mean/std computed once from the
+train split; no hardcoded normalization constants.
 
 A generic raw-tensor container ("RAWT1": u32 dims N/C/H/W little-endian,
 f32 payload, u8 labels) lets any externally prepared dataset be injected
@@ -16,16 +16,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError
 
-CIFAR10_RECORD = 3073
-CIFAR100_RECORD = 3074
-CIFAR10_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
-CIFAR10_TEST_FILE = "test_batch.bin"
+# classes -> (subdirectory, train files, test file, record bytes); the class
+# is the last label byte: CIFAR-100's two are the coarse, then the fine label
+CIFAR_LAYOUTS = {
+    10: ("cifar-10-batches-bin", tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+         "test_batch.bin", 3073),
+    100: ("cifar-100-binary", ("train.bin",), "test.bin", 3074),
+}
+CIFAR_PIXEL_BYTES = 3072
 
 
 @dataclass
@@ -56,14 +59,11 @@ class ImageDataset:
         return self.images.shape[0]
 
 
-def _resolve_dir(directory, subdir_candidates: tuple[str, ...]) -> Path:
+def _resolve_dir(directory, subdir: str) -> Path:
     base = Path(directory)
     if not base.is_dir():
         raise ConfigurationError(f"dataset directory not found: {base}")
-    for sub in subdir_candidates:
-        if (base / sub).is_dir():
-            return base / sub
-    return base
+    return base / subdir if (base / subdir).is_dir() else base
 
 
 def read_cifar_records(path, record_bytes: int,
@@ -85,16 +85,18 @@ def read_cifar_records(path, record_bytes: int,
             f"{expected_records} ({expected_records * record_bytes} bytes)"
         )
     records = raw.reshape(n, record_bytes)
-    label_bytes = record_bytes - 3072
+    label_bytes = record_bytes - CIFAR_PIXEL_BYTES
     return records[:, :label_bytes], records[:, label_bytes:]
 
 
-def _decode_pixels(pixel_bytes: np.ndarray) -> np.ndarray:
+def _decode(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """(images, labels) of one split's (label bytes, pixel bytes) files, the
+    pixels cast straight into one float32 array and scaled to [0, 1]."""
     # byte layout per record: channel-planar, pixel (c,h,w) at c*1024 + h*32 + w
-    n = pixel_bytes.shape[0]
-    images = pixel_bytes.reshape(n, 3, 32, 32).astype(np.float32)
+    images = np.concatenate([pixels.reshape(-1, 3, 32, 32) for _, pixels in parts],
+                            dtype=np.float32)
     images /= 255.0
-    return images
+    return images, np.concatenate([labels[:, -1] for labels, _ in parts], dtype=np.int64)
 
 
 _STATS_CHUNK = 1000  # images per float64 slice of the train statistics
@@ -116,44 +118,26 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> None:
         images /= std32
 
 
-def load_cifar10(directory) -> tuple[ImageDataset, ImageDataset]:
-    folder = _resolve_dir(directory, ("cifar-10-batches-bin",))
-    train_labels, train_pixels = [], []
-    for name in CIFAR10_TRAIN_FILES:
-        labels, pixels = read_cifar_records(folder / name, CIFAR10_RECORD, 10000)
-        train_labels.append(labels[:, 0])
-        train_pixels.append(pixels)
-    test_labels, test_pixels = read_cifar_records(
-        folder / CIFAR10_TEST_FILE, CIFAR10_RECORD, 10000
-    )
-    train_images = _decode_pixels(np.concatenate(train_pixels))
-    test_images = _decode_pixels(test_pixels)
+def load_cifar(directory, classes: int) -> tuple[ImageDataset, ImageDataset]:
+    """The CIFAR-10 or CIFAR-100 (`classes` 10 or 100) train and test splits,
+    from the binary files in `directory` or its standard subdirectory."""
+    if classes not in CIFAR_LAYOUTS:
+        raise ConfigurationError(f"CIFAR has 10 or 100 classes, not {classes}")
+    subdir, train_files, test_file, record = CIFAR_LAYOUTS[classes]
+    folder = _resolve_dir(directory, subdir)
+    # every file is read and checked before any is decoded
+    train = [read_cifar_records(folder / name, record, 50000 // len(train_files))
+             for name in train_files]
+    test = [read_cifar_records(folder / test_file, record, 10000)]
+    (train_images, train_labels), (test_images, test_labels) = _decode(train), _decode(test)
+    del train, test  # the file bytes, before the standardization passes
     _standardize(train_images, test_images)
-    train = ImageDataset(train_images, np.concatenate(train_labels).astype(np.int64),
-                         "train", 10)
-    test = ImageDataset(test_images, test_labels[:, 0].astype(np.int64), "test", 10)
-    return train, test
-
-
-def load_cifar100(directory) -> tuple[ImageDataset, ImageDataset]:
-    folder = _resolve_dir(directory, ("cifar-100-binary",))
-    train_labels, train_pixels = read_cifar_records(
-        folder / "train.bin", CIFAR100_RECORD, 50000
-    )
-    test_labels, test_pixels = read_cifar_records(
-        folder / "test.bin", CIFAR100_RECORD, 10000
-    )
-    train_images = _decode_pixels(train_pixels)
-    test_images = _decode_pixels(test_pixels)
-    _standardize(train_images, test_images)
-    # byte 0 is the coarse label, byte 1 the fine label; classification uses fine
-    train = ImageDataset(train_images, train_labels[:, 1].astype(np.int64), "train", 100)
-    test = ImageDataset(test_images, test_labels[:, 1].astype(np.int64), "test", 100)
-    return train, test
+    return (ImageDataset(train_images, train_labels, "train", classes),
+            ImageDataset(test_images, test_labels, "test", classes))
 
 
 # ---------------------------------------------------------------------------
-# Augmentation and batching
+# Augmentation and subsets
 # ---------------------------------------------------------------------------
 
 CROP_PAD = 4
@@ -176,23 +160,6 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator,
         crop = padded[i, :, dy : dy + h, dx : dx + w]
         out[i] = crop[:, :, ::-1] if flips[i] else crop
     return out
-
-
-def batches(dataset: ImageDataset, batch_size: int, seed: int | np.random.Generator = 0,
-            shuffle: bool = True, augment: bool = False,
-            flip: bool = True) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Seeded epoch iterator; the final partial batch is included."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = len(dataset)
-    order = rng.permutation(n) if shuffle else np.arange(n)
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        images = dataset.images[idx]
-        if augment:
-            images = augment_batch(images, rng, flip=flip)
-        yield images, dataset.labels[idx]
 
 
 def class_balanced_subset(dataset: ImageDataset, per_class: int,

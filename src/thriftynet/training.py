@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import planner
-from .data import ImageDataset, augment_batch, batches
+from .data import ImageDataset, augment_batch
 from .errors import ConfigurationError, DataError, NumericalError
 from .metrics import (MetricLog, MetricRow, now, read_metric_log, read_timing,
                       write_csv, write_metric_log, write_timing)
@@ -39,6 +39,12 @@ def _require_finite(config, *names: str) -> None:
             raise ConfigurationError(f"{name} must be finite, got {getattr(config, name)}")
 
 
+def _require_positive_or_none(config, name: str) -> None:
+    value = getattr(config, name)
+    if value is not None and value < 1:
+        raise ConfigurationError(f"{name} must be >= 1 or None, got {value}")
+
+
 @dataclass(frozen=True)
 class AlphaRegConfig:
     lambda0: float = 3e-4
@@ -47,6 +53,7 @@ class AlphaRegConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self, "lambda0", "eps")
+        _require_positive_or_none(self, "epochs")
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,7 @@ class TrainConfig:
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("epochs and batch_size must be positive")
         _require_finite(self, "lr0", "momentum", "weight_decay")
+        _require_positive_or_none(self, "steps_per_epoch")
         object.__setattr__(self, "lr_drops", drops)
 
 
@@ -133,17 +141,20 @@ def alpha_well_distance(alpha: np.ndarray) -> float:
 
 
 def evaluate(model: ThriftyNet, dataset: ImageDataset, batch_size: int = 500) -> float:
-    """Eval-mode accuracy in percent over a dataset.
+    """Eval-mode accuracy in percent over a dataset, read in order.
 
-    `batch_size` bounds only the batch that `batches` hands over, its images
-    and logits: the forward runs each batch in chunks of 64-127 images, so
+    `batch_size` bounds only the slice of images handed to the forward and
+    its logits: the forward runs each slice in chunks of 64-127 images, so
     the activations held at once do not grow with it.
     """
     _require_images(dataset)
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     correct = 0
-    for images, labels in batches(dataset, batch_size, shuffle=False, augment=False):
-        logits = model.forward(images, mode="eval")
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
+    for start in range(0, len(dataset), batch_size):
+        batch = slice(start, start + batch_size)
+        logits = model.forward(dataset.images[batch], mode="eval")
+        correct += int((logits.data.argmax(axis=1) == dataset.labels[batch]).sum())
     return 100.0 * correct / len(dataset)
 
 
@@ -162,13 +173,16 @@ class TrainResult:
 
 def _epoch_batches(dataset: ImageDataset, config: TrainConfig,
                    rng: np.random.Generator):
+    """One epoch's (images, labels) batches: a shuffled pass over the split,
+    its last batch partial, or `steps_per_epoch` batches drawn uniformly with
+    replacement.  Index draws and augmentation share `rng`, in that order."""
+    n, size = len(dataset), config.batch_size
     if config.steps_per_epoch is None:
-        yield from batches(dataset, config.batch_size, seed=rng, shuffle=True,
-                           augment=config.augment, flip=config.flip)
-        return
-    # fixed step count per epoch: batches sampled uniformly with replacement
-    for _ in range(config.steps_per_epoch):
-        idx = rng.integers(0, len(dataset), size=config.batch_size)
+        order = rng.permutation(n)
+        draws = (order[start : start + size] for start in range(0, n, size))
+    else:
+        draws = (rng.integers(0, n, size=size) for _ in range(config.steps_per_epoch))
+    for idx in draws:
         images = dataset.images[idx]
         if config.augment:
             images = augment_batch(images, rng, flip=config.flip)
@@ -198,8 +212,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     if model.alpha is not None:
         # a frozen alpha is a constant: the forward computes no gradient for it
         model.alpha.needs_grad = not freeze_alpha
-    all_params = model.trainables()
-    opt = SGD([(n, v) for n, v in all_params if v.needs_grad], config.momentum,
+    opt = SGD([(n, v) for n, v in model.trainables() if v.needs_grad], config.momentum,
               config.weight_decay)
 
     start_epoch = 0
@@ -233,8 +246,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
         correct = 0
         seen = 0
         for images, labels in _epoch_batches(train_ds, config, rng):
-            for _, v in all_params:
-                v.grad = None
+            opt.zero_grad()
             tape = Tape()
             logits = model.forward(images, mode="train", tape=tape)
             loss, grad_scores = softmax_cross_entropy(logits.data, labels)
@@ -360,20 +372,18 @@ SWEEP_COLUMNS = ("f", "T", "h", "n_pools", "params_total", "macs_total",
                  "test_acc", "status")
 
 
-def sweep(configs, train_ds, test_ds, train_config, input_hw: tuple[int, int],
-          repeats: int = 1, out_dir=None):
+def sweep(configs, train_ds, test_ds, train_config, repeats: int = 1, out_dir=None):
     """Train every config with the shared settings; emit the trade-off table.
 
-    `input_hw` is the (H, W) of the images, at which the MACs are counted.
-
-    One seed per point by default; `repeats` > 1 averages over consecutive
-    seeds.  A failing run is recorded as a failed row and the sweep
-    continues.  Rows are emitted in config order.
+    MACs are counted at the (H, W) of the train images.  One seed per point
+    by default; `repeats` > 1 averages over consecutive seeds.  A failing run
+    is recorded as a failed row and the sweep continues.  Rows are emitted in
+    config order.
     """
     rows = []
     for config in configs:
         params = planner.param_count(config)
-        macs = planner.mac_count(config, input_hw)
+        macs = planner.mac_count(config, train_ds.images.shape[2:])
         accs = []
         status = "ok"
         for r in range(repeats):

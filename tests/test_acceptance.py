@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from _synth import uniform_alpha
-from thriftynet.data import ImageDataset, class_balanced_subset, load_cifar10
+from thriftynet.data import ImageDataset, class_balanced_subset, load_cifar
 from thriftynet.errors import DataError
 from thriftynet.gradcheck import (
     check_model_gradients,
@@ -152,7 +152,7 @@ def test_acceptance_4_recursion_equivalence():
 
 @pytest.fixture(scope="module")
 def cifar10_loaded(cifar10_real):
-    return load_cifar10(cifar10_real)
+    return load_cifar(cifar10_real, 10)
 
 
 def fixed_64_sample_subset(train_ds) -> ImageDataset:
@@ -299,7 +299,7 @@ def test_acceptance_9_determinism_and_persistence(tiny_pair, tmp_path):
 def test_acceptance_10_data_ingestion(cifar10_synth_dir, tmp_path):
     """Loaders validate the 50000/10000 record counts and byte layout;
     standardized train channels have mean 0 +/- 1e-5 and std 1 +/- 1e-4."""
-    train_ds, test_ds = load_cifar10(cifar10_synth_dir)
+    train_ds, test_ds = load_cifar(cifar10_synth_dir, 10)
     assert len(train_ds) == 50000
     assert len(test_ds) == 10000
     means = train_ds.images.mean(axis=(0, 2, 3), dtype=np.float64)
@@ -317,7 +317,7 @@ def test_acceptance_10_data_ingestion(cifar10_synth_dir, tmp_path):
     for name in ("data_batch_1.bin", "data_batch_2.bin", "data_batch_4.bin",
                  "data_batch_5.bin", "test_batch.bin"):
         (tmp_path / name).write_bytes((cifar10_synth_dir / name).read_bytes())
-    modified_train, _ = load_cifar10(tmp_path)
+    modified_train, _ = load_cifar(tmp_path, 10)
     delta = np.abs(modified_train.images - train_ds.images)
     index = np.unravel_index(delta.argmax(), delta.shape)
     assert index == (20000 + record, c, h, w)
@@ -326,5 +326,5 @@ def test_acceptance_10_data_ingestion(cifar10_synth_dir, tmp_path):
     # undersized files are rejected with byte counts in the message
     (tmp_path / "test_batch.bin").write_bytes(bytes(3073 * 9999))
     with pytest.raises(DataError, match="records"):
-        load_cifar10(tmp_path)
+        load_cifar(tmp_path, 10)
     announce(10, "record counts, byte-exact layout, standardization verified")

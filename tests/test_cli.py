@@ -11,7 +11,9 @@ import pytest
 
 import thriftynet
 import thriftynet.tensor
-from thriftynet.cli import ARCH_DEFAULTS, main, read_settings
+from thriftynet.cli import (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS, main,
+                            read_settings)
+from thriftynet.data import save_raw
 from thriftynet.errors import ConfigurationError
 from thriftynet.metrics import read_csv, read_metric_log
 
@@ -266,6 +268,110 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--config", str(config),
                          "--out", str(tmp_path / "x"))
         assert code == 2
+
+
+class TestSettingBounds:
+    """A setting that would fail deep in numpy, or silently mean something
+    else, is a ConfigurationError naming it (exit 2), before any output."""
+
+    @pytest.mark.parametrize("extra,key", [
+        (("--seed", "-1"), "seed"),
+        (("--limit-train", "-10"), "limit_train"),
+        (("--limit-test", "-10"), "limit_test"),
+        (("--filters", "-1"), "filters"),
+        (("--steps-per-epoch", "-2"), "steps_per_epoch"),
+        (("--alpha-reg", "--alpha-epochs", "-1"), "epochs"),
+    ], ids=["seed", "limit_train", "limit_test", "filters", "steps_per_epoch",
+            "alpha_epochs"])
+    def test_train_exits_2_before_any_output(self, capsys, raw_dataset_files, tmp_path,
+                                             extra, key):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, *train_args(raw_dataset_files, out), *extra)
+        assert code == 2
+        assert key in err
+        assert not out.exists()
+
+    def test_gradcheck_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err and not out
+
+    def test_sweep_without_repeats_exits_2(self, capsys, raw_dataset_files, tmp_path):
+        train_path, test_path = raw_dataset_files
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("filters=6 iterations=3 history=0 pools=1\n")
+        out = tmp_path / "sweep"
+        code, _, err = run(
+            capsys, "sweep", "--manifest", str(manifest), "--repeats", "0",
+            "--dataset", "raw", "--raw-train", str(train_path),
+            "--raw-test", str(test_path), "--epochs", "1", "--lr-drops", "",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "repeats" in err
+        assert not out.exists()
+
+    def test_negative_filters_in_a_manifest_exit_2(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        path.write_text("filters=8\nfilters=-3\n")
+        with pytest.raises(ConfigurationError, match="sweep.txt:2: filters"):
+            read_settings(path, ARCH_DEFAULTS)
+
+    def test_config_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"filters=\xff\xfe8\n")
+        code, _, err = run(capsys, "count", "--config", str(config))
+        assert code == 2
+        assert str(config) in err and "UTF-8" in err
+
+    def test_manifest_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "sweep.txt"
+        path.write_bytes(b"filters=8 # \xe9t\xe9\n")
+        with pytest.raises(ConfigurationError, match="sweep.txt is not UTF-8"):
+            read_settings(path, ARCH_DEFAULTS)
+
+    def test_ablate_honours_alpha_epochs(self, capsys, raw_dataset_files, tmp_path):
+        # without --alpha-reg, phase 1 still anneals only in its first epoch
+        train_path, test_path = raw_dataset_files
+        out = tmp_path / "ablation"
+        code, _, _ = run(
+            capsys, "ablate", "--dataset", "raw",
+            "--raw-train", str(train_path), "--raw-test", str(test_path),
+            "--filters", "6", "--iterations", "3", "--history", "2",
+            "--pools", "1", "--phase1-epochs", "2", "--phase2-epochs", "1",
+            "--alpha-epochs", "1", "--lr-drops", "", "--batch-size", "64",
+            "--no-augment", "--out", str(out),
+        )
+        assert code == 0
+        first, second = read_metric_log(out / "phase1" / "metrics.csv")
+        assert first.lam > 3e-4  # annealed during epoch 0
+        assert second.lam == first.lam
+
+
+INTEGER_TRAIN_SETTINGS = [key for key, value in
+                          {**ARCH_DEFAULTS, **DATA_DEFAULTS, **TRAIN_DEFAULTS}.items()
+                          if type(value) is int]
+
+
+@pytest.fixture(scope="module")
+def small_raw_files(tmp_path_factory):
+    """40 train and 20 test random 8x8 images, four of each class in train."""
+    rng = np.random.default_rng(41)
+    folder = tmp_path_factory.mktemp("small_raw")
+    for name, n in (("train.rawt", 40), ("test.rawt", 20)):
+        save_raw(folder / name, rng.standard_normal((n, 3, 8, 8)).astype(np.float32),
+                 np.arange(n) % 10)
+    return folder / "train.rawt", folder / "test.rawt"
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("key", INTEGER_TRAIN_SETTINGS)
+def test_integer_train_setting_never_exits_1(capsys, small_raw_files, tmp_path,
+                                             key, value):
+    # 0 and -1 are each either a valid setting or a configuration error
+    argv = train_args(small_raw_files, tmp_path / "run", epochs=1, alpha_epochs=1)
+    argv += ["--alpha-reg", f"--{key.replace('_', '-')}", value]
+    assert run(capsys, *argv)[0] in (0, 2)
 
 
 class TestOneChannelData:

@@ -8,20 +8,21 @@ import pytest
 
 from _synth import cifar10_records, synthetic_arrays, write_cifar10_dir
 from thriftynet.data import (
-    CIFAR100_RECORD,
-    CIFAR10_RECORD,
+    CIFAR_LAYOUTS,
     RAW_MAGIC,
     ImageDataset,
     augment_batch,
-    batches,
     class_balanced_subset,
-    load_cifar10,
-    load_cifar100,
+    load_cifar,
     load_raw,
     read_cifar_records,
     save_raw,
 )
 from thriftynet.errors import ConfigurationError, DataError
+from thriftynet.tensor import Value
+from thriftynet.training import TrainConfig, _epoch_batches, evaluate
+
+CIFAR10_RECORD = CIFAR_LAYOUTS[10][3]
 
 
 class TestRecordParsing:
@@ -62,12 +63,12 @@ class TestRecordParsing:
             read_cifar_records(tmp_path / "nope.bin", CIFAR10_RECORD)
 
     def test_cifar100_record_length(self):
-        assert CIFAR100_RECORD == 3074
+        assert CIFAR_LAYOUTS[100][3] == 3074
 
 
 class TestCifar10Loader:
     def test_full_layout(self, cifar10_synth_dir):
-        train, test = load_cifar10(cifar10_synth_dir)
+        train, test = load_cifar(cifar10_synth_dir, 10)
         assert len(train) == 50000 and train.split == "train"
         assert len(test) == 10000 and test.split == "test"
         assert train.images.shape == (50000, 3, 32, 32)
@@ -75,22 +76,22 @@ class TestCifar10Loader:
         assert train.class_count == 10
 
     def test_standardization_statistics(self, cifar10_synth_dir):
-        train, _ = load_cifar10(cifar10_synth_dir)
+        train, _ = load_cifar(cifar10_synth_dir, 10)
         means = train.images.mean(axis=(0, 2, 3), dtype=np.float64)
         stds = train.images.std(axis=(0, 2, 3), dtype=np.float64)
         np.testing.assert_allclose(means, 0.0, atol=1e-5)
         np.testing.assert_allclose(stds, 1.0, atol=1e-4)
 
     def test_test_split_uses_train_statistics(self, cifar10_synth_dir):
-        _, test = load_cifar10(cifar10_synth_dir)
+        _, test = load_cifar(cifar10_synth_dir, 10)
         # test pixels are i.i.d. with the train ones here, so the reuse of the
         # train statistics still lands near (0, 1), but only approximately
         means = test.images.mean(axis=(0, 2, 3), dtype=np.float64)
         np.testing.assert_allclose(means, 0.0, atol=0.05)
 
     def test_reload_is_bit_identical(self, cifar10_synth_dir):
-        first_train, first_test = load_cifar10(cifar10_synth_dir)
-        second_train, second_test = load_cifar10(cifar10_synth_dir)
+        first_train, first_test = load_cifar(cifar10_synth_dir, 10)
+        second_train, second_test = load_cifar(cifar10_synth_dir, 10)
         np.testing.assert_array_equal(first_train.images, second_train.images)
         np.testing.assert_array_equal(first_test.images, second_test.images)
         np.testing.assert_array_equal(first_train.labels, second_train.labels)
@@ -106,22 +107,22 @@ class TestCifar10Loader:
                                    labels[:40])
         # undersized test file must be rejected before any decoding
         with pytest.raises(DataError):
-            load_cifar10(folder)
+            load_cifar(folder, 10)
 
     def test_wrong_record_count_rejected(self, tmp_path):
         images, labels = synthetic_arrays(250, seed=1)
         write_cifar10_dir(tmp_path, images[:250], labels[:250].astype(np.uint8),
                           images[:50], labels[:50].astype(np.uint8))
         with pytest.raises(DataError, match="records"):
-            load_cifar10(tmp_path)
+            load_cifar(tmp_path, 10)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            load_cifar10(tmp_path / "absent")
+            load_cifar(tmp_path / "absent", 10)
 
     def test_standardized_zero_record(self, cifar10_synth_dir):
         # an all-zero image standardizes to exactly (0 - mean)/std per channel
-        train, _ = load_cifar10(cifar10_synth_dir)
+        train, _ = load_cifar(cifar10_synth_dir, 10)
         raw = []
         for i in range(1, 6):
             _, pixels = read_cifar_records(
@@ -142,7 +143,7 @@ class TestCifar10Loader:
         # a float64 deviation array of the whole train split peaked at 2151 MB
         tracemalloc.start()
         try:
-            load_cifar10(cifar10_synth_dir)
+            load_cifar(cifar10_synth_dir, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -152,17 +153,26 @@ class TestCifar100Loader:
     def test_fine_labels_and_counts(self, tmp_path):
         rng = np.random.default_rng(3)
         n_train, n_test = 50000, 10000
+        folder = tmp_path / "cifar-100-binary"  # the standard subdirectory
+        folder.mkdir()
+        fine = {}
         for name, n in (("train.bin", n_train), ("test.bin", n_test)):
-            records = np.zeros((n, CIFAR100_RECORD), dtype=np.uint8)
+            records = np.zeros((n, 3074), dtype=np.uint8)
             records[:, 0] = rng.integers(0, 20, size=n)   # coarse
             records[:, 1] = rng.integers(0, 100, size=n)  # fine
-            records[:, 2:] = rng.integers(0, 256, size=(n, 3072))
-            (tmp_path / name).write_bytes(records.tobytes())
-        train, test = load_cifar100(tmp_path)
+            records[:, 2:] = rng.integers(0, 256, size=(n, 3072), dtype=np.uint8)
+            (folder / name).write_bytes(records.tobytes())
+            fine[name] = records[:, 1].astype(np.int64)
+        train, test = load_cifar(tmp_path, 100)
         assert len(train) == 50000
         assert train.class_count == 100
-        assert train.labels.min() >= 0 and train.labels.max() < 100
+        np.testing.assert_array_equal(train.labels, fine["train.bin"])
         assert len(test) == 10000
+        np.testing.assert_array_equal(test.labels, fine["test.bin"])
+
+    def test_only_ten_or_a_hundred_classes(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="10 or 100"):
+            load_cifar(tmp_path, 20)
 
 
 class TestAugmentation:
@@ -205,21 +215,42 @@ def tiny_dataset(n=10, seed=0):
     )
 
 
+def epoch_batches(ds, batch_size, seed, augment=False, steps_per_epoch=None):
+    config = TrainConfig(epochs=1, lr_drops=(), batch_size=batch_size, augment=augment,
+                         steps_per_epoch=steps_per_epoch)
+    return list(_epoch_batches(ds, config, np.random.default_rng(seed)))
+
+
+class FirstClassModel:
+    """Stands in for a model in `evaluate`: records the images it is handed
+    and scores every one as class 0."""
+
+    def __init__(self):
+        self.seen = []
+
+    def forward(self, images, mode):
+        assert mode == "eval"
+        self.seen.append(images.copy())
+        return Value(np.eye(3, dtype=np.float32)[np.zeros(len(images), dtype=int)])
+
+
 class TestBatches:
     def test_partial_final_batch(self):
-        sizes = [len(labels) for _, labels in batches(tiny_dataset(10), 4)]
+        sizes = [len(labels) for _, labels in epoch_batches(tiny_dataset(10), 4, seed=0)]
         assert sizes == [4, 4, 2]
 
     def test_unshuffled_preserves_order(self):
+        # evaluate reads the split in order, its last slice partial
         ds = tiny_dataset(6)
-        collected = np.concatenate(
-            [labels for _, labels in batches(ds, 4, shuffle=False)]
-        )
-        np.testing.assert_array_equal(collected, ds.labels)
+        model = FirstClassModel()
+        acc = evaluate(model, ds, batch_size=4)
+        assert [len(images) for images in model.seen] == [4, 2]
+        np.testing.assert_array_equal(np.concatenate(model.seen), ds.images)
+        assert acc == 100.0 * np.count_nonzero(ds.labels == 0) / 6
 
     def test_permutation_covers_everything(self):
         ds = tiny_dataset(17)
-        images = np.concatenate([im for im, _ in batches(ds, 5, seed=3)])
+        images = np.concatenate([im for im, _ in epoch_batches(ds, 5, seed=3)])
         assert images.shape[0] == 17
         # recover indices by matching first pixels
         key = ds.images[:, 0, 0, 0]
@@ -230,7 +261,7 @@ class TestBatches:
     def test_same_seed_same_permutation_distinct_seeds_differ(self):
         ds = tiny_dataset(64)
         def order(seed):
-            return np.concatenate([l for _, l in batches(ds, 16, seed=seed)])
+            return np.concatenate([l for _, l in epoch_batches(ds, 16, seed=seed)])
         repeats = 0
         for pair in range(100):
             a, b = 2 * pair, 2 * pair + 1
@@ -240,14 +271,28 @@ class TestBatches:
         assert repeats <= 1  # collisions vanishingly unlikely
 
     def test_augmented_batches_keep_label_pairing(self):
+        # the permutation is drawn before any augmentation draw
         ds = tiny_dataset(8)
-        plain = list(batches(ds, 4, seed=5, augment=False))
-        rng = np.random.default_rng(11)
+        plain = epoch_batches(ds, 4, seed=5, augment=False)
         for (im_a, lab_a), (_, lab_b) in zip(
-            batches(ds, 4, seed=5, augment=True), plain
+            epoch_batches(ds, 4, seed=5, augment=True), plain
         ):
             np.testing.assert_array_equal(lab_a, lab_b)
             assert im_a.shape == (4, 3, 8, 8)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_fixed_steps_draw_indices_then_augment(self, augment):
+        # the draw order of the steps_per_epoch mode is part of the
+        # determinism contract: per step, the indices, then the augmentation
+        ds = tiny_dataset(9)
+        got = epoch_batches(ds, 4, seed=7, augment=augment, steps_per_epoch=3)
+        rng = np.random.default_rng(7)
+        assert len(got) == 3
+        for images, labels in got:
+            idx = rng.integers(0, 9, size=4)
+            expected = augment_batch(ds.images[idx], rng) if augment else ds.images[idx]
+            np.testing.assert_array_equal(images, expected)
+            np.testing.assert_array_equal(labels, ds.labels[idx])
 
 
 class TestSubset:

@@ -107,6 +107,12 @@ class TestLrSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=100, lr_drops=(150,))
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_steps_per_epoch_is_positive_or_none(self, steps):
+        assert TrainConfig(steps_per_epoch=None).steps_per_epoch is None
+        with pytest.raises(ConfigurationError, match="steps_per_epoch"):
+            TrainConfig(steps_per_epoch=steps)
+
 
 class TestAlphaReg:
     def test_wells_have_zero_loss_and_gradient(self):
@@ -128,6 +134,12 @@ class TestAlphaReg:
         numeric = finite_difference(lambda: alpha_reg_loss(alpha.data, lam)[0],
                                     alpha, step=1e-6)
         assert max_rel_error(analytic, numeric) < 1e-10
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_is_positive_or_none(self, epochs):
+        assert AlphaRegConfig(epochs=None).epochs is None
+        with pytest.raises(ConfigurationError, match="epochs"):
+            AlphaRegConfig(epochs=epochs)
 
     def test_lambda_growth_formula(self):
         lam0, eps, steps = 3e-4, 1.5e-4, 977
@@ -186,6 +198,12 @@ class TestEvaluate:
         empty = replace(test_ds, images=test_ds.images[:0], labels=test_ds.labels[:0])
         with pytest.raises(DataError):
             evaluate(ThriftyNet(tiny_model_config(), seed=6), empty)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_must_be_positive(self, tiny_pair, batch_size):
+        _, test_ds = tiny_pair
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            evaluate(ThriftyNet(tiny_model_config(), seed=6), test_ds, batch_size)
 
 
 class TestTrainLoop:
