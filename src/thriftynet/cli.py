@@ -13,8 +13,9 @@ and a dash in a key reads as an underscore.  A config file merges its
 lines, a later line winning; a manifest is one sweep point per line.  A
 pair without ``=``, an unknown key, a malformed value or a value below its
 floor in `SETTING_FLOORS` is a configuration error naming the file and
-line; a file that is not UTF-8 is one naming the file.  Exit codes: 0 ok,
-2 usage/configuration, 3 data/checkpoint, 4 numerical failure.
+line; a file that is not UTF-8 is one naming the file.  `main` turns any
+package error or `OSError` into one ``error:`` line and the exit code that
+`errors` states.
 """
 
 from __future__ import annotations
@@ -25,17 +26,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import planner
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    DataError,
-    NumericalError,
-)
+from .errors import ConfigurationError, DataError, NumericalError, ThriftyNetError
 from .gradcheck import check_model_gradients, summarize_groups
 from .model import (ThriftyConfig, ThriftyNet, load_model, mean_activations,
                     validate_schedule)
@@ -47,12 +41,6 @@ from .training import (
     sweep,
     train,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
 
 def _coerce(key: str, raw: str, like):
     """`raw` as the type of `like`; a malformed value is a ConfigurationError
@@ -315,7 +303,7 @@ def _prepare_out(spec, out: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(spec, args) -> int:
+def cmd_train(spec, args) -> None:
     train_config = _train_config(spec)
     train_ds, test_ds = _load_datasets(spec)
     config = _build_model_config(spec, train_ds.class_count, train_ds.images.shape[1])
@@ -328,10 +316,9 @@ def cmd_train(spec, args) -> int:
                    out_dir=out_dir, resume_from=args.resume or None)
     print(f"best_test_acc={result.best_test_acc:.2f} "
           f"final_test_acc={result.final_test_acc:.2f}")
-    return EXIT_OK
 
 
-def cmd_eval(spec, args) -> int:
+def cmd_eval(spec, args) -> None:
     model = load_model(args.checkpoint)
     _, test_ds = _load_datasets(spec)
     if test_ds.class_count != model.config.num_classes:
@@ -341,10 +328,9 @@ def cmd_eval(spec, args) -> int:
         )
     acc = evaluate(model, test_ds)
     print(f"test_acc={acc:.4f}")
-    return EXIT_OK
 
 
-def cmd_count(spec, args) -> int:
+def cmd_count(spec, args) -> None:
     # the counts read no input_channels; 1 is valid for every filter count
     config = _build_model_config(spec, spec.classes, input_channels=1)
     counts = planner.param_count(config)
@@ -357,10 +343,9 @@ def cmd_count(spec, args) -> int:
     print(f"params_table1={counts.table1_total}")
     print(f"macs_total={macs.total}")
     print("macs_per_iteration=" + ",".join(str(m) for m in macs.per_iteration))
-    return EXIT_OK
 
 
-def cmd_plan(spec, args) -> int:
+def cmd_plan(spec, args) -> None:
     iteration_values = (_parse_int_list("iterations_list", spec.iterations_list)
                         or (spec.iterations,))
     pool_values = _parse_int_list("pools_list", spec.pools_list) or (spec.pools,)
@@ -378,10 +363,9 @@ def cmd_plan(spec, args) -> int:
     if args.out:
         metrics_mod.write_csv(args.out, planner.PLAN_COLUMNS,
                               [[row[c] for c in planner.PLAN_COLUMNS] for row in rows])
-    return EXIT_OK
 
 
-def cmd_gradcheck(spec, args) -> int:
+def cmd_gradcheck(spec, args) -> None:
     results = summarize_groups(check_model_gradients(seed=spec.seed,
                                                      tol=spec.tolerance))
     failed = False
@@ -392,10 +376,9 @@ def cmd_gradcheck(spec, args) -> int:
         failed |= not check.passed
     if failed:
         raise NumericalError("analytic gradients do not match finite differences")
-    return EXIT_OK
 
 
-def cmd_ablate(spec, args) -> int:
+def cmd_ablate(spec, args) -> None:
     # phase 1 always anneals the penalty, whether or not --alpha-reg is given
     base = _train_config(argparse.Namespace(**{**vars(spec), "alpha_reg": True}))
     train_ds, test_ds = _load_datasets(spec)
@@ -415,21 +398,20 @@ def cmd_ablate(spec, args) -> int:
     for name, acc in rows:
         print(f"{name}={acc:.2f}")
     metrics_mod.write_csv(out_dir / "ablation.csv", ("variant", "test_acc"), rows)
-    np.savetxt(out_dir / "alpha_binarized.csv", report.binarized_alpha,
-               fmt="%.1f", delimiter=",")
-    return EXIT_OK
+    binarized = "".join(",".join(f"{v:.1f}" for v in row) + "\n"
+                        for row in report.binarized_alpha)
+    metrics_mod.atomic_write(out_dir / "alpha_binarized.csv", binarized.encode())
 
 
-def cmd_export_activations(spec, args) -> int:
+def cmd_export_activations(spec, args) -> None:
     model = load_model(args.checkpoint)
     train_ds, _ = _load_datasets(spec)
     matrix = mean_activations(model, train_ds.images)
     metrics_mod.write_matrix_csv(matrix, args.out)
     print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} matrix to {args.out}")
-    return EXIT_OK
 
 
-def cmd_sweep(spec, args) -> int:
+def cmd_sweep(spec, args) -> None:
     train_config = _train_config(spec)
     points = read_settings(args.manifest, ARCH_DEFAULTS)
     if not points:
@@ -442,7 +424,6 @@ def cmd_sweep(spec, args) -> int:
     rows = sweep(configs, train_ds, test_ds, train_config, spec.repeats, out_dir)
     for row in rows:
         print(",".join(str(v) for v in row))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +509,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+        return int(exc.code) if exc.code else 0
     try:
-        return args.func(resolve(args), args)
-    except ConfigurationError as exc:
+        args.func(resolve(args), args)
+    except (ThriftyNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, CheckpointError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return getattr(exc, "exit_code", DataError.exit_code)  # an OSError exits 3
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

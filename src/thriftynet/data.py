@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .metrics import atomic_write
 
 # classes -> (subdirectory, train files, test file, record bytes); the class
 # is the last label byte: CIFAR-100's two are the coarse, then the fine label
@@ -165,6 +166,9 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator,
 def class_balanced_subset(dataset: ImageDataset, per_class: int,
                           seed: int = 0) -> ImageDataset:
     """Deterministic subset with `per_class` samples of every class."""
+    for name, value in (("per_class", per_class), ("seed", seed)):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     picks = []
     for c in range(dataset.class_count):
@@ -201,11 +205,8 @@ def save_raw(path, images: np.ndarray, labels: np.ndarray) -> None:
         pixels = np.ascontiguousarray(images, dtype="<f4")
     if not np.isfinite(pixels).all():
         raise DataError("raw container cannot hold non-finite pixel values")
-    with open(path, "wb") as fh:
-        fh.write(RAW_MAGIC)
-        fh.write(struct.pack("<4I", *images.shape))
-        fh.write(pixels.tobytes())
-        fh.write(labels.astype(np.uint8).tobytes())
+    atomic_write(path, RAW_MAGIC, struct.pack("<4I", *images.shape), pixels,
+                 labels.astype(np.uint8))
 
 
 def load_raw(path, split: str = "train") -> ImageDataset:

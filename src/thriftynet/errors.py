@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-data/checkpoint problems exit 3, numerical failures exit 4.
+Each class carries the exit code the CLI returns for it: 2 for a
+configuration problem, 3 for a data or checkpoint problem, 4 for a numerical
+failure.  An `OSError` (a file that is missing, unreadable or unwritable)
+exits 3, as a data problem; success exits 0.
 """
 
 
@@ -11,6 +13,7 @@ class ThriftyNetError(Exception):
 
 class ConfigurationError(ThriftyNetError):
     """Invalid shapes, hyperparameters, or incompatible settings."""
+    exit_code = 2
 
 
 class DegenerateBatchError(ConfigurationError):
@@ -19,11 +22,14 @@ class DegenerateBatchError(ConfigurationError):
 
 class DataError(ThriftyNetError):
     """Malformed dataset files or out-of-range labels."""
+    exit_code = 3
 
 
 class CheckpointError(ThriftyNetError):
     """Unreadable, truncated, or mismatched checkpoint files."""
+    exit_code = 3
 
 
 class NumericalError(ThriftyNetError):
     """Non-finite values or failed numerical verification."""
+    exit_code = 4

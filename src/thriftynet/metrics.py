@@ -1,5 +1,6 @@
-"""Run outputs, each written through `atomic_write`: training curves, sweep
-tables, matrices.
+"""Run outputs: training curves, sweep tables, matrices.  `atomic_write`
+writes every file the package writes, checkpoints and RAWT1 containers
+included.
 
 CSVs are plain, with '.'-decimal floats rendered by repr(), so re-parsing
 recovers the exact values.  Wall-clock time is kept in the in-memory log but
@@ -9,6 +10,7 @@ byte-identical across reruns with the same seed, and timings never can be.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -62,8 +64,9 @@ def _render(value) -> str:
     return str(value)
 
 
-def atomic_write(path, blob: bytes) -> None:
-    """Replace `path` with `blob` so that a crash leaves the old or the new file.
+def atomic_write(path, *parts) -> None:
+    """Replace `path` with the bytes-like `parts`, written in order, so that a
+    crash leaves the old or the new file.
 
     The temp file is synced before the rename and the directory after it.
     """
@@ -71,12 +74,13 @@ def atomic_write(path, blob: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the error that stopped the write wins
+            tmp.unlink(missing_ok=True)
         raise
     dir_fd = os.open(path.parent, os.O_RDONLY)
     try:

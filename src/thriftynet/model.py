@@ -183,6 +183,8 @@ class ThriftyNet:
     """Model instance: a config plus its parameters and batch-norm state."""
 
     def __init__(self, config: ThriftyConfig, seed: int = 0, dtype=np.float32):
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         dtype = np.dtype(dtype)
         f, t, k = config.filters, config.iterations, config.num_classes
         rng = np.random.default_rng(seed)
@@ -532,8 +534,8 @@ def save_train_checkpoint(model: ThriftyNet, opt, next_epoch: int, lam: float,
     parts = [serialize_model(model), OPT_MAGIC,
              _OPT_HEADER.pack(next_epoch, lam, best_acc, len(opt.velocities))]
     for vel in opt.velocities:
-        parts.append(np.ascontiguousarray(vel, dtype=model.dtype).tobytes())
-    atomic_write(path, b"".join(parts))
+        parts.append(np.ascontiguousarray(vel, dtype=model.dtype))
+    atomic_write(path, *parts)
 
 
 def load_train_checkpoint(path, model: ThriftyNet, opt) -> tuple[int, float, float]:

@@ -11,7 +11,7 @@ optional auxiliary loss
     L_alpha = lambda * sum(x^2 (1-x)^2)   over the shortcut coefficients
 
 pushes every coefficient toward 0 or 1; lambda is multiplied by (1+eps)
-after each optimizer step.  Per-epoch RNG streams are derived from (seed,
+after each optimizer step at which the penalty acts on a trained alpha.  Per-epoch RNG streams are derived from (seed,
 epoch), and `last.ckpt`, which model.py writes, holds the optimizer state
 after the model, so a resumed run reproduces the uninterrupted one exactly.
 """
@@ -80,6 +80,8 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         _require_finite(self, "lr0", "momentum", "weight_decay")
         _require_positive_or_none(self, "steps_per_epoch")
         object.__setattr__(self, "lr_drops", drops)
@@ -232,15 +234,15 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    # the penalty, and lambda's annealing, act only on an alpha that trains
+    reg = config.alpha_reg if model.alpha is not None and model.alpha.needs_grad else None
 
     final_acc = best_acc
     for epoch in range(start_epoch, config.epochs):
         t0 = now()
         lr = lr_at(config, epoch)
         rng = np.random.default_rng([config.seed, epoch])
-        reg_active = config.alpha_reg is not None and model.alpha is not None and (
-            config.alpha_reg.epochs is None or epoch < config.alpha_reg.epochs
-        )
+        reg_active = reg is not None and (reg.epochs is None or epoch < reg.epochs)
         loss_sum = 0.0
         n_batches = 0
         correct = 0
@@ -255,7 +257,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
                     f"non-finite loss at epoch {epoch}; last checkpoint retained"
                 )
             tape.backward(logits, grad_scores)
-            if reg_active and model.alpha.needs_grad:
+            if reg_active:
                 _, reg_grad = alpha_reg_loss(model.alpha.data, lam)
                 if model.alpha.grad is None:
                     model.alpha.grad = reg_grad
@@ -263,7 +265,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
                     model.alpha.grad += reg_grad
             opt.step(lr)
             if reg_active:
-                lam *= 1.0 + config.alpha_reg.eps
+                lam *= 1.0 + reg.eps
             loss_sum += loss
             n_batches += 1
             correct += int((logits.data.argmax(axis=1) == labels).sum())
@@ -380,6 +382,8 @@ def sweep(configs, train_ds, test_ds, train_config, repeats: int = 1, out_dir=No
     is recorded as a failed row and the sweep continues.  Rows are emitted in
     config order.
     """
+    if out_dir is not None:  # before the first point trains
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for config in configs:
         params = planner.param_count(config)

@@ -16,12 +16,23 @@ from thriftynet.cli import (ARCH_DEFAULTS, DATA_DEFAULTS, TRAIN_DEFAULTS, main,
 from thriftynet.data import save_raw
 from thriftynet.errors import ConfigurationError
 from thriftynet.metrics import read_csv, read_metric_log
+from thriftynet.model import ThriftyConfig, ThriftyNet, save_model
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m thriftynet` from this source checkout, so the exit code is
+    the process's, not only main()'s return value."""
+    src = str(Path(thriftynet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "thriftynet", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def train_args(raw_dataset_files, out, **extra):
@@ -374,6 +385,70 @@ def test_integer_train_setting_never_exits_1(capsys, small_raw_files, tmp_path,
     assert run(capsys, *argv)[0] in (0, 2)
 
 
+class TestHostileOutputPaths:
+    """An output path the package cannot write exits 3 with one error line and
+    no traceback, and leaves no temp file.  (A path the user may not write to
+    is not among the cases: it cannot be provoked when the tests run as root.)"""
+
+    @pytest.fixture()
+    def blocker(self, tmp_path):
+        path = tmp_path / "blocker"
+        path.write_text("keep\n")
+        return path
+
+    def argv(self, command, small_raw_files, tmp_path, out):
+        train_path, test_path = small_raw_files
+        raw = ["--dataset", "raw", "--raw-train", str(train_path),
+               "--raw-test", str(test_path)]
+        fit = ["--epochs", "1", "--lr-drops", "", "--batch-size", "20", "--no-augment"]
+        arch = ["--filters", "4", "--iterations", "2", "--history", "1", "--pools", "1"]
+        if command == "sweep":
+            manifest = tmp_path / "manifest.txt"
+            manifest.write_text("filters=4 iterations=2 history=1 pools=1\n")
+            return ["sweep", *raw, *fit, "--manifest", str(manifest), "--out", out]
+        if command == "export-activations":
+            checkpoint = tmp_path / "model.ckpt"
+            save_model(ThriftyNet(ThriftyConfig(filters=4, iterations=2, schedule=(1, 2))),
+                       checkpoint)
+            return [command, *raw, "--checkpoint", str(checkpoint), "--out", out]
+        if command == "plan":
+            return ["plan", "--out", out]
+        extra = ["--phase1-epochs", "1", "--phase2-epochs", "1"] if command == "ablate" else []
+        return [command, *raw, *fit, *arch, *extra, "--out", out]
+
+    def assert_one_error_line(self, code, err, tmp_path):
+        assert code == 3, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("command,where", [
+        ("train", "file"), ("ablate", "file"), ("sweep", "file"),
+        ("train", "under_file"), ("ablate", "under_file"), ("sweep", "under_file"),
+        ("plan", "under_file"), ("export-activations", "under_file"),
+    ])
+    def test_unwritable_out_exits_3(self, capsys, small_raw_files, tmp_path, blocker,
+                                    command, where):
+        # --out of train, ablate and sweep names a directory, so an existing
+        # file is in the way; --out of plan and export-activations names a CSV,
+        # which may replace an existing file
+        out = blocker if where == "file" else blocker / "out.csv"
+        code, _, err = run(capsys, *self.argv(command, small_raw_files, tmp_path, str(out)))
+        self.assert_one_error_line(code, err, tmp_path)
+        assert blocker.read_text() == "keep\n"
+
+    def test_resume_under_a_file_exits_3(self, capsys, small_raw_files, tmp_path, blocker):
+        argv = self.argv("train", small_raw_files, tmp_path, str(tmp_path / "run"))
+        code, _, err = run(capsys, *argv, "--resume", str(blocker / "last.ckpt"))
+        self.assert_one_error_line(code, err, tmp_path)
+
+    def test_module_entry_point_prints_one_line(self, blocker):
+        proc = run_module("plan", "--out", str(blocker / "x.csv"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 class TestOneChannelData:
     @pytest.mark.parametrize("command", ["train", "sweep", "ablate"])
     def test_runs_on_one_channel_raw_images(self, capsys, tmp_path, command):
@@ -444,17 +519,9 @@ class TestMalformedNumbers:
         assert "filters" in err and "'abc'" in err
 
     def test_module_entry_point_exits_2(self, tmp_path):
-        # `python -m thriftynet` runs from a source checkout, and the exit
-        # code reaches the process, not only main()'s return value
         config = tmp_path / "bad.cfg"
         config.write_text("iterations = abc\n")
-        src = str(Path(thriftynet.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "thriftynet", "count", "--config", str(config)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module("count", "--config", str(config))
         assert proc.returncode == 2
         assert "iterations" in proc.stderr and "Traceback" not in proc.stderr
 

@@ -1,5 +1,7 @@
 """Byte-exact loaders, standardization, augmentation, batching."""
 
+import errno
+import os
 import struct
 import tracemalloc
 
@@ -364,6 +366,32 @@ class TestRawContainer:
         with pytest.raises(DataError, match="one label per image"):
             save_raw(path, np.zeros((3, 1, 2, 2), dtype=np.float32), labels)
         assert not path.exists()
+
+    def test_failed_save_keeps_the_old_container(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.rawt"
+        save_raw(path, np.ones((2, 1, 2, 2), dtype=np.float32), np.arange(2))
+        old = path.read_bytes()
+
+        def full_disk(_fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_raw(path, np.zeros((3, 1, 2, 2), dtype=np.float32), np.arange(3))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["data.rawt"]
+
+    def test_save_streams_the_pixels(self, tmp_path):
+        # the payload goes to the file as it is; a bytes copy of it made the
+        # peak exceed the pixel array itself
+        images = np.zeros((500, 3, 32, 32), dtype="<f4")
+        tracemalloc.start()
+        try:
+            save_raw(tmp_path / "big.rawt", images, np.zeros(500, dtype=np.int64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes / 2, f"{peak / 1e6:.1f} MB save peak"
 
     def test_empty_container_round_trip(self, tmp_path):
         path = tmp_path / "empty.rawt"

@@ -1,10 +1,13 @@
 """CSV round-trips, metric-log invariants, atomic writes."""
 
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thriftynet
 from thriftynet.errors import ConfigurationError, DataError
 from thriftynet.metrics import (
     METRIC_COLUMNS,
@@ -115,3 +118,79 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DataError):
             read_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# One writer: every file the package writes goes through metrics.atomic_write
+# ---------------------------------------------------------------------------
+
+WRITE_METHODS = {"write_bytes", "write_text", "tofile"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        name, owner = func.id, None
+    elif isinstance(func, ast.Attribute):
+        name = func.attr
+        owner = func.value.id if isinstance(func.value, ast.Name) else ""
+    else:
+        return False
+    if name in WRITE_METHODS:
+        return True
+    if owner in ("np", "numpy") and name.startswith("save"):
+        return True
+    if name != "open":
+        return False
+    if owner == "os":  # flags, not a mode: only a read-only open writes nothing
+        flags = call.args[1:2]
+        return not flags or ast.unparse(flags[0]) != "os.O_RDONLY"
+    # open(path, mode) and io.open(path, mode), or path.open(mode)
+    position = 1 if owner in (None, "io") else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    mode = (modes or call.args[position : position + 1] or [ast.Constant("r")])[0]
+    if not isinstance(mode, ast.Constant):
+        return True  # a mode the scan cannot read counts as a write
+    return any(flag in mode.value for flag in "wax+")
+
+
+def file_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call in `source` that writes a file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _writes_a_file(child):
+                found.append((function, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneWriter:
+    def test_only_atomic_write_writes_files(self):
+        package = Path(thriftynet.__file__).parent
+        writes = {(path.name, function, line)
+                  for path in sorted(package.glob("*.py"))
+                  for function, line in file_writes(path.read_text())}
+        writers = {(name, function) for name, function, _ in writes}
+        assert ("metrics.py", "atomic_write") in writers  # the scan sees the package
+        assert sorted(w for w in writes if w[:2] != ("metrics.py", "atomic_write")) == []
+
+    @pytest.mark.parametrize("call", [
+        'open(p, "w")', 'open(p, "ab")', 'open(p, mode="x")', 'open(p, "r+b")',
+        "open(p, m)", 'io.open(p, "wb")', 'p.open("w")', "p.open(mode=m)",
+        "os.open(p, os.O_WRONLY | os.O_CREAT)", "p.write_bytes(b)", "p.write_text(s)",
+        "np.save(p, a)", "np.savetxt(p, a)", "numpy.savez(p, a=a)", "a.tofile(p)",
+    ])
+    def test_scan_sees_a_write(self, call):
+        assert file_writes(f"def f():\n    {call}\n") == [("f", 2)]
+
+    @pytest.mark.parametrize("call", [
+        "open(p)", 'open(p, "rb")', 'io.open(p, "r")', "p.open()", 'p.open("rb")',
+        "os.open(p, os.O_RDONLY)", "p.read_bytes()", "np.load(p)", "fh.write(b)",
+    ])
+    def test_scan_passes_a_read(self, call):
+        assert file_writes(f"def f():\n    {call}\n") == []

@@ -3,10 +3,12 @@
 import os
 import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thriftynet.data import class_balanced_subset
 from thriftynet.errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.model import ThriftyConfig, ThriftyNet, load_model, serialize_model
@@ -24,9 +26,10 @@ from thriftynet.training import (
     load_train_checkpoint,
     lr_at,
     save_train_checkpoint,
+    sweep,
     train,
 )
-from thriftynet.metrics import atomic_write
+from thriftynet.metrics import atomic_write, read_csv
 
 
 def tiny_model_config(history=2, filters=6, iterations=3):
@@ -276,6 +279,18 @@ class TestTrainLoop:
         assert result.log.rows[0].lam == pytest.approx(expected, rel=1e-12)
         assert result.log.rows[1].lam > result.log.rows[0].lam
 
+    def test_frozen_alpha_keeps_lambda0(self, tiny_pair, tmp_path):
+        # the penalty never acts on a frozen alpha, so lambda does not anneal:
+        # neither the log nor the checkpoint a resumed run reads it from grows it
+        train_ds, test_ds = tiny_pair
+        config = tiny_train_config(epochs=2, alpha_reg=AlphaRegConfig(3e-4, 1.5e-4))
+        train(ThriftyNet(tiny_model_config(), seed=10), train_ds, test_ds, config,
+              out_dir=tmp_path, freeze_alpha=True)
+        resumed = train(ThriftyNet(tiny_model_config(), seed=10), train_ds, test_ds,
+                        replace(config, epochs=3), out_dir=tmp_path, freeze_alpha=True,
+                        resume_from=tmp_path / "last.ckpt")
+        assert [row.lam for row in resumed.log.rows] == [3e-4] * 3
+
     def test_frozen_alpha_is_bit_exact(self, tiny_pair):
         train_ds, test_ds = tiny_pair
         model = ThriftyNet(tiny_model_config(history=3), seed=11)
@@ -493,6 +508,51 @@ class TestResume:
         assert not (tmp_path / "last.ckpt.tmp").exists()
         assert synced == [(path.stat().st_ino, False, False),
                           (tmp_path.stat().st_ino, True, True)]
+
+    def test_atomic_write_writes_its_parts_in_order(self, tmp_path):
+        path = tmp_path / "blob"
+        atomic_write(path, b"RAW", np.arange(3, dtype="<f4"), bytearray(b"!"))
+        assert path.read_bytes() == b"RAW" + np.arange(3, dtype="<f4").tobytes() + b"!"
+
+    def test_failed_cleanup_keeps_the_error_that_stopped_the_write(self, tmp_path,
+                                                                  monkeypatch):
+        path = tmp_path / "last.ckpt"
+        path.write_bytes(b"old")
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("replace refused")
+
+        def stuck(*_args, **_kwargs):
+            raise OSError("unlink refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(Path, "unlink", stuck)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+
+
+class TestSweep:
+    def test_makes_its_output_directory_before_the_first_point(self, tiny_pair,
+                                                               tmp_path):
+        train_ds, test_ds = tiny_pair
+        out = tmp_path / "new" / "sweep"
+        rows = sweep([tiny_model_config()], train_ds, test_ds,
+                     tiny_train_config(epochs=1), out_dir=out)
+        assert rows[0][-1] == "ok"
+        _, written = read_csv(out / "sweep.csv")
+        assert len(written) == 1
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda ds: TrainConfig(seed=-1), "seed"),
+    (lambda ds: ThriftyNet(tiny_model_config(), seed=-1), "seed"),
+    (lambda ds: class_balanced_subset(ds, 2, seed=-1), "seed"),
+    (lambda ds: class_balanced_subset(ds, -1), "per_class"),
+], ids=["TrainConfig-seed", "ThriftyNet-seed", "subset-seed", "subset-per_class"])
+def test_negative_library_argument_is_a_configuration_error(tiny_pair, call, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0, got -1$"):
+        call(tiny_pair[0])
 
 
 class TestAblation:
