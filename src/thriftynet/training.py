@@ -11,9 +11,10 @@ optional auxiliary loss
     L_alpha = lambda * sum(x^2 (1-x)^2)   over the shortcut coefficients
 
 pushes every coefficient toward 0 or 1; lambda is multiplied by (1+eps)
-after each optimizer step at which the penalty acts on a trained alpha.  Per-epoch RNG streams are derived from (seed,
-epoch), and `last.ckpt`, which model.py writes, holds the optimizer state
-after the model, so a resumed run reproduces the uninterrupted one exactly.
+after each optimizer step at which the penalty acts on a trained alpha.
+Per-epoch RNG streams are derived from (seed, epoch), and `last.ckpt`, which
+model.py writes, holds the optimizer state after the model, so a resumed run
+reproduces the uninterrupted one exactly.
 """
 
 from __future__ import annotations
