@@ -8,7 +8,8 @@ train split; no hardcoded normalization constants.
 
 A generic raw-tensor container ("RAWT1": u32 dims N/C/H/W little-endian,
 f32 payload, u8 labels) lets any externally prepared dataset be injected
-through the same pipeline.
+through the same pipeline.  It is read through `metrics.BlobReader`: a
+header that promises more than the file holds fails before any copy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .metrics import atomic_write
+from .errors import ConfigurationError, DataError, require_finite
+from .metrics import BlobReader, atomic_write
 
 # classes -> (subdirectory, train files, test file, record bytes); the class
 # is the last label byte: CIFAR-100's two are the coarse, then the fine label
@@ -203,30 +204,19 @@ def save_raw(path, images: np.ndarray, labels: np.ndarray) -> None:
         raise DataError("raw container stores labels as u8; range exceeded")
     with np.errstate(over="ignore"):  # a pixel past float32's range becomes inf
         pixels = np.ascontiguousarray(images, dtype="<f4")
-    if not np.isfinite(pixels).all():
-        raise DataError("raw container cannot hold non-finite pixel values")
+    require_finite(pixels, DataError, "raw container cannot hold non-finite pixel values")
     atomic_write(path, RAW_MAGIC, struct.pack("<4I", *images.shape), pixels,
                  labels.astype(np.uint8))
 
 
 def load_raw(path, split: str = "train") -> ImageDataset:
-    blob = Path(path).read_bytes()
-    if blob[: len(RAW_MAGIC)] != RAW_MAGIC:
+    reader = BlobReader(Path(path).read_bytes(), DataError, str(path))
+    if reader.take(len(RAW_MAGIC)) != RAW_MAGIC:
         raise DataError(f"{path} is not a raw tensor container (bad magic)")
-    header_end = len(RAW_MAGIC) + 16
-    if len(blob) < header_end:
-        raise DataError(f"{path} is truncated before the dimension header")
-    n, c, h, w = struct.unpack("<4I", blob[len(RAW_MAGIC) : header_end])
-    payload = n * c * h * w * 4
-    if len(blob) != header_end + payload + n:
-        raise DataError(
-            f"{path} has {len(blob)} bytes, expected {header_end + payload + n} "
-            f"for {n}x{c}x{h}x{w} images plus labels"
-        )
-    images = np.frombuffer(blob, dtype="<f4", count=n * c * h * w,
-                           offset=header_end).reshape(n, c, h, w).copy()
-    if not np.isfinite(images).all():
-        raise DataError(f"{path} holds non-finite pixel values")
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=header_end + payload).astype(np.int64)
+    n, c, h, w = struct.unpack("<4I", reader.take(16))
+    images = reader.array((n, c, h, w), "<f4")
+    labels = reader.array((n,), np.uint8).astype(np.int64)
+    reader.finish()
+    require_finite(images, DataError, f"{path} holds non-finite pixel values")
     class_count = int(labels.max()) + 1 if n else 1
     return ImageDataset(images, labels, split, class_count)

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .model import ThriftyConfig, ThriftyNet
 from .tensor import Tape, Value, softmax_cross_entropy
 
@@ -71,6 +72,8 @@ def check_model_gradients(config: ThriftyConfig | None = None, seed: int = 0,
                           batch: int = 3, input_hw: tuple[int, int] = (8, 8),
                           step: float = DEFAULT_STEP, tol: float = 1e-4) -> list[GroupCheck]:
     """Compare analytic and numeric gradients for every parameter group."""
+    if not 0 <= tol < float("inf"):  # a nan, inf or negative tol judges nothing
+        raise ConfigurationError(f"tolerance must be finite and >= 0, got {tol}")
     if config is None:
         config = default_check_config()
     model = ThriftyNet(config, seed=seed, dtype=np.float64)

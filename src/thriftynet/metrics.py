@@ -1,6 +1,6 @@
 """Run outputs: training curves, sweep tables, matrices.  `atomic_write`
-writes every file the package writes, checkpoints and RAWT1 containers
-included.
+writes every file the package writes, and `BlobReader` reads back every
+binary container it writes, checkpoints and RAWT1 containers alike.
 
 CSVs are plain, with '.'-decimal floats rendered by repr(), so re-parsing
 recovers the exact values.  Wall-clock time is kept in the in-memory log but
@@ -11,13 +11,16 @@ byte-identical across reruns with the same seed, and timings never can be.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import ConfigurationError, DataError
+import numpy as np
+
+from .errors import ConfigurationError, DataError, ThriftyNetError
 
 METRIC_COLUMNS = ("epoch", "lr", "train_loss", "train_acc", "test_acc", "lambda")
 TIMING_COLUMNS = ("epoch", "wall_time_s")
@@ -87,6 +90,33 @@ def atomic_write(path, *parts) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+class BlobReader:
+    """Reads one binary container in order.  A read past its end raises
+    `error`, naming the container `name`, before it copies anything; so do
+    bytes left over at `finish`."""
+
+    def __init__(self, blob: bytes, error: type[ThriftyNetError], name: str,
+                 offset: int = 0):
+        self.blob, self.error, self.name, self.offset = memoryview(blob), error, name, offset
+
+    def take(self, n: int) -> memoryview:
+        """The next n bytes, in place."""
+        if self.offset + n > len(self.blob):
+            raise self.error(f"{self.name} truncated: wanted {n} bytes at offset "
+                             f"{self.offset}, file has {len(self.blob)}")
+        self.offset += n
+        return self.blob[self.offset - n : self.offset]
+
+    def array(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        view = self.take(math.prod(shape) * dtype.itemsize)
+        return np.frombuffer(view, dtype).reshape(shape).copy()
+
+    def finish(self) -> None:
+        if self.offset != len(self.blob):
+            raise self.error(f"{self.name} has {len(self.blob) - self.offset} trailing bytes")
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

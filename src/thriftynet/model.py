@@ -47,8 +47,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError, DataError
-from .metrics import atomic_write
+from .errors import CheckpointError, ConfigurationError, DataError, require_finite
+from .metrics import BlobReader, atomic_write
 from .tensor import (
     BatchNormState,
     ConvKernel,
@@ -131,6 +131,15 @@ class ThriftyConfig:
     @property
     def n_pools(self) -> int:
         return self.schedule.count(2)
+
+    def check_input_size(self, height: int, width: int) -> None:
+        """Refuse an input too small for this net: every halving needs a
+        pixel to pool.  The model and `planner.mac_count` both apply it."""
+        if height < 1 or width < 1:
+            raise ConfigurationError(f"input size must be positive, got {(height, width)}")
+        if 2 ** self.n_pools > min(height, width):
+            raise ConfigurationError(f"schedule performs {self.n_pools} halvings but "
+                                     f"input is only {height}x{width}")
 
 
 @dataclass
@@ -271,11 +280,7 @@ class ThriftyNet:
             raise ConfigurationError(
                 f"expected {cfg.input_channels} input channels, got {x.shape[1]}"
             )
-        if 2 ** cfg.n_pools > min(x.shape[2], x.shape[3]):
-            raise ConfigurationError(
-                f"schedule performs {cfg.n_pools} halvings but input is only "
-                f"{x.shape[2]}x{x.shape[3]}"
-            )
+        cfg.check_input_size(x.shape[2], x.shape[3])
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=self.dtype)
 
     def iterate(self, x: np.ndarray, mode: str = "train",
@@ -432,44 +437,12 @@ def serialize_model(model: ThriftyNet) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    def __init__(self, blob: bytes, offset: int = 0):
-        self.blob = blob
-        self.offset = offset
-
-    def _advance(self, n: int) -> int:
-        """Consume n bytes; returns where they start."""
-        if self.offset + n > len(self.blob):
-            raise CheckpointError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.offset}, "
-                f"file has {len(self.blob)}"
-            )
-        self.offset += n
-        return self.offset - n
-
-    def finish(self) -> None:
-        if self.offset != len(self.blob):
-            raise CheckpointError(f"checkpoint has {len(self.blob) - self.offset} trailing bytes")
-
-    def take(self, n: int) -> bytes:
-        return self.blob[self._advance(n) : self.offset]
-
-    def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        # read in place, then one copy: no intermediate bytes slice
-        count = math.prod(shape)
-        start = self._advance(count * dtype.itemsize)
-        return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
-
-
 def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
     """Rebuild a model from bytes; returns (model, bytes consumed).  A
     tensor holding a NaN or an infinity is rejected, naming the tensor."""
-    reader = _Reader(blob)
-    try:
-        (magic, dtype_code, mode_code, act_code, _reserved, f, a, b, t, h,
-         num_classes, input_channels) = _HEADER.unpack(reader.take(_HEADER.size))
-    except struct.error as exc:  # pragma: no cover - take() normally fires first
-        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    reader = BlobReader(blob, CheckpointError, "checkpoint")
+    (magic, dtype_code, mode_code, act_code, _reserved, f, a, b, t, h,
+     num_classes, input_channels) = _HEADER.unpack(reader.take(_HEADER.size))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
     if dtype_code not in _DTYPE_CODES:
@@ -493,17 +466,11 @@ def deserialize_model(blob: bytes) -> tuple[ThriftyNet, int]:
     except ConfigurationError as exc:
         raise CheckpointError(f"checkpoint header describes no valid model: {exc}") from exc
     shapes = _tensor_shapes(config)
-    need = dtype.itemsize * sum(math.prod(shape) for shape in shapes)
-    if len(blob) - reader.offset < need:
-        raise CheckpointError(
-            f"checkpoint truncated: header promises {need} bytes of tensors, "
-            f"file has {len(blob) - reader.offset} after the header"
-        )
     model = ThriftyNet.__new__(ThriftyNet)
     model._assemble(config, dtype, [reader.array(shape, dtype) for shape in shapes])
     for (name, _), array in zip(model._file_order(), model.state_arrays()):
-        if not np.isfinite(array).all():
-            raise CheckpointError(f"checkpoint tensor {name} holds a non-finite value")
+        require_finite(array, CheckpointError,
+                       f"checkpoint tensor {name} holds a non-finite value")
     return model, reader.offset
 
 
@@ -511,14 +478,14 @@ def save_model(model: ThriftyNet, path) -> None:
     atomic_write(path, serialize_model(model))
 
 
-def _read_checkpoint(path) -> tuple[ThriftyNet, _Reader | None]:
+def _read_checkpoint(path) -> tuple[ThriftyNet, BlobReader | None]:
     """The model in a checkpoint file, and a reader at the start of its
     optimizer section, or None when the model ends the file."""
     blob = Path(path).read_bytes()
     model, offset = deserialize_model(blob)
     if blob.startswith(OPT_MAGIC, offset):
-        return model, _Reader(blob, offset + len(OPT_MAGIC))
-    _Reader(blob, offset).finish()
+        return model, BlobReader(blob, CheckpointError, "checkpoint", offset + len(OPT_MAGIC))
+    BlobReader(blob, CheckpointError, "checkpoint", offset).finish()
     return model, None
 
 
@@ -574,8 +541,8 @@ def load_train_checkpoint(path, model: ThriftyNet, opt) -> tuple[int, float, flo
     if not 0.0 <= best_acc <= 100.0:
         raise CheckpointError(f"checkpoint's best test accuracy is {best_acc}, not in [0, 100]")
     for (name, _), vel in zip(opt.params, velocities):
-        if not np.isfinite(vel).all():
-            raise CheckpointError(f"checkpoint's velocity of {name} holds a non-finite value")
+        require_finite(vel, CheckpointError,
+                       f"checkpoint's velocity of {name} holds a non-finite value")
     for dst, src in zip(model.state_arrays(), restored.state_arrays()):
         dst[...] = src
     for dst, src in zip(opt.velocities, velocities):

@@ -59,12 +59,12 @@ def param_count(config: ThriftyConfig) -> ParamCount:
 
 
 def mac_count(config: ThriftyConfig, input_hw: tuple[int, int]) -> MacCount:
-    """Per-sample multiply-accumulates, tracking the resolution schedule."""
+    """Per-sample multiply-accumulates, tracking the resolution schedule,
+    of an input the model would run on (`ThriftyConfig.check_input_size`)."""
+    config.check_input_size(*input_hw)
     f = config.filters
     a, b = config.kernel
     h, w = input_hw
-    if h < 1 or w < 1:
-        raise ConfigurationError(f"input size must be positive, got {input_hw}")
     per_position = f * f * a * b if config.conv_mode == "classical" else f * a * b + f * f
     per_iteration = []
     for factor in config.schedule:

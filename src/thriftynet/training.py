@@ -27,7 +27,7 @@ import numpy as np
 
 from . import planner
 from .data import ImageDataset, augment_batch
-from .errors import ConfigurationError, DataError, NumericalError
+from .errors import ConfigurationError, DataError, NumericalError, require_finite
 from .metrics import (MetricLog, MetricRow, now, read_metric_log, read_timing,
                       write_csv, write_metric_log, write_timing)
 from .model import ThriftyNet, load_train_checkpoint, save_model, save_train_checkpoint
@@ -112,8 +112,7 @@ class SGD:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient in parameter {name!r}")
+            require_finite(g, NumericalError, f"non-finite gradient in parameter {name!r}")
             np.multiply(vel, self.momentum, out=vel)
             vel += g
             if self.weight_decay:
@@ -253,7 +252,7 @@ def train(model: ThriftyNet, train_ds: ImageDataset, test_ds: ImageDataset,
             tape = Tape()
             logits = model.forward(images, mode="train", tape=tape)
             loss, grad_scores = softmax_cross_entropy(logits.data, labels)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}; last checkpoint retained"
                 )
@@ -379,31 +378,31 @@ def sweep(configs, train_ds, test_ds, train_config, repeats: int = 1, out_dir=No
     """Train every config with the shared settings; emit the trade-off table.
 
     MACs are counted at the (H, W) of the train images.  One seed per point
-    by default; `repeats` > 1 averages over consecutive seeds.  A failing run
-    is recorded as a failed row and the sweep continues.  Rows are emitted in
-    config order.
+    by default; `repeats` > 1 averages over consecutive seeds.  A failing
+    point is a failed row, with nan MACs if its pools do not fit the images,
+    and the sweep continues.  Rows are emitted in config order.
     """
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     if out_dir is not None:  # before the first point trains
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for config in configs:
         params = planner.param_count(config)
-        macs = planner.mac_count(config, train_ds.images.shape[2:])
-        accs = []
-        status = "ok"
-        for r in range(repeats):
-            run_seed = train_config.seed + r
-            try:
+        macs, accs, status = float("nan"), [], "ok"
+        try:
+            macs = planner.mac_count(config, train_ds.images.shape[2:]).total
+            for r in range(repeats):
+                run_seed = train_config.seed + r
                 model = ThriftyNet(config, seed=run_seed)
                 result = train(model, train_ds, test_ds,
                                replace(train_config, seed=run_seed))
                 accs.append(result.best_test_acc)
-            except Exception as exc:  # noqa: BLE001 - sweep must survive bad points
-                status = f"failed: {type(exc).__name__}"
-                break
+        except Exception as exc:  # noqa: BLE001 - sweep must survive bad points
+            status = f"failed: {type(exc).__name__}"
         mean_acc = sum(accs) / len(accs) if accs else float("nan")
         rows.append([config.filters, config.iterations, config.history,
-                     config.n_pools, params.total, macs.total, mean_acc, status])
+                     config.n_pools, params.total, macs, mean_acc, status])
         if out_dir is not None:
             write_csv(Path(out_dir) / "sweep.csv", SWEEP_COLUMNS, rows)
     return rows

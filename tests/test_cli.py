@@ -125,6 +125,13 @@ class TestCount:
         assert code == 0
         assert "params_core=48" in out  # 2*2*3*3 conv weights + 3*2*2 BN
 
+    def test_pools_that_do_not_fit_the_input_exit_2(self, capsys):
+        # the default 4 pools need 16x16; the model refuses an 8x8 input
+        code, out, err = run(capsys, "count", "--input-size", "8")
+        assert code == 2
+        assert out == ""
+        assert "schedule performs 4 halvings but input is only 8x8" in err
+
 
 class TestPlan:
     def test_rows_sorted_by_macs(self, capsys, tmp_path):
@@ -144,6 +151,15 @@ class TestPlan:
                            "--history", "0", "--pools", "1")
         assert code == 0
         assert len(out.splitlines()) == 2  # header and one row
+
+    def test_pools_that_do_not_fit_the_input_exit_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "plan.csv"
+        code, out, err = run(capsys, "plan", "--input-size", "8", "--pools-list", "2,4",
+                             "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert "schedule performs 4 halvings but input is only 8x8" in err
+        assert not out_csv.exists()
 
     def test_schedule_flag_matches_count(self, capsys):
         arch = ("--schedule", "front_loaded", "--iterations", "15", "--pools", "4")
@@ -617,6 +633,21 @@ class TestGradcheck:
         code, out, _ = run(capsys, "gradcheck", "--config", str(config))
         assert code == 4
         assert "tol=0.0e+00" in out
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1"])
+    def test_tolerance_that_cannot_judge_exits_2(self, capsys, monkeypatch, tolerance):
+        # inf passed a 1% error in fc_w; nan and -1 failed a correct backward
+        real = thriftynet.tensor._linear_backward
+
+        def corrupted(g, x, w):
+            gx, gw, gb = real(g, x, w)
+            return gx, gw * 1.01, gb
+
+        monkeypatch.setattr(thriftynet.tensor, "_linear_backward", corrupted)
+        code, out, err = run(capsys, "gradcheck", "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
 
 
 class TestExportActivations:

@@ -382,16 +382,70 @@ class TestRawContainer:
         assert [p.name for p in tmp_path.iterdir()] == ["data.rawt"]
 
     def test_save_streams_the_pixels(self, tmp_path):
-        # the payload goes to the file as it is; a bytes copy of it made the
-        # peak exceed the pixel array itself
-        images = np.zeros((500, 3, 32, 32), dtype="<f4")
+        # the payload goes to the file as it is, and its finiteness check
+        # builds no mask: a bytes copy made the peak exceed the pixel array,
+        # and a boolean mask per pixel was 29.3 MiB of a 117 MiB save
+        images = np.zeros((10000, 3, 32, 32), dtype="<f4")
+        path = tmp_path / "big.rawt"
         tracemalloc.start()
         try:
-            save_raw(tmp_path / "big.rawt", images, np.zeros(500, dtype=np.int64))
+            save_raw(path, images, np.zeros(10000, dtype=np.int64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < images.nbytes / 2, f"{peak / 1e6:.1f} MB save peak"
+        path.unlink()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB save peak"
+
+    def test_short_file(self, tmp_path):
+        path = tmp_path / "short.rawt"
+        path.write_bytes(b"RAW")
+        with pytest.raises(DataError, match="truncated: wanted 5 bytes at offset 0"):
+            load_raw(path)
+
+    def test_cut_header(self, tmp_path):
+        path = tmp_path / "cut.rawt"
+        path.write_bytes(RAW_MAGIC + struct.pack("<4I", 2, 1, 2, 2)[:10])
+        with pytest.raises(DataError, match="truncated: wanted 16 bytes at offset 5, "
+                                            "file has 15"):
+            load_raw(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.rawt"
+        save_raw(path, np.ones((2, 1, 2, 2), dtype=np.float32), np.arange(2))
+        path.write_bytes(path.read_bytes() + b"xyz")
+        with pytest.raises(DataError, match="has 3 trailing bytes"):
+            load_raw(path)
+
+    def test_short_file_with_huge_header_fails_without_allocating(self, tmp_path):
+        # a 29-byte file whose header claims 10**6 3x1000x1000 images: the
+        # pixels alone would take 12 TB, so the reader's bound must fire
+        # before any copy
+        path = tmp_path / "huge.rawt"
+        path.write_bytes(RAW_MAGIC + struct.pack("<4I", 10**6, 3, 1000, 1000) + bytes(8))
+        assert path.stat().st_size == 29
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="truncated"):
+                load_raw(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_load_peak_is_the_file_and_the_pixels(self, tmp_path):
+        # the file's bytes and the aligned pixel copy, with no mask beside them
+        rng = np.random.default_rng(12)
+        images = rng.standard_normal((2000, 3, 32, 32)).astype(np.float32)
+        path = tmp_path / "big.rawt"
+        save_raw(path, images, np.arange(2000) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_raw(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ds.images, images)
+        assert peak < 2.1 * images.nbytes, f"{peak / images.nbytes:.2f} x the payload"
 
     def test_empty_container_round_trip(self, tmp_path):
         path = tmp_path / "empty.rawt"

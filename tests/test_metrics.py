@@ -1,14 +1,16 @@
-"""CSV round-trips, metric-log invariants, atomic writes."""
+"""CSV round-trips, metric-log invariants, atomic writes, the one finiteness
+check."""
 
 import ast
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thriftynet
-from thriftynet.errors import ConfigurationError, DataError
+from thriftynet.errors import ConfigurationError, DataError, NumericalError, require_finite
 from thriftynet.metrics import (
     METRIC_COLUMNS,
     MetricLog,
@@ -194,3 +196,81 @@ class TestOneWriter:
     ])
     def test_scan_passes_a_read(self, call):
         assert file_writes(f"def f():\n    {call}\n") == []
+
+
+# ---------------------------------------------------------------------------
+# One finiteness check: arrays through errors.require_finite, scalars
+# through math.isfinite, and no elementwise np.isfinite mask anywhere
+# ---------------------------------------------------------------------------
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_the_given_error(self, dtype, bad):
+        array = np.zeros((3, 5, 7), dtype=dtype)
+        array[2, 4, 6] = bad
+        with pytest.raises(NumericalError, match="^tensor w is bad$"):
+            require_finite(array, NumericalError, "tensor w is bad")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_passes(self, dtype):
+        info = np.finfo(dtype)
+        require_finite(np.array([info.min, -1.0, 0.0, info.tiny, info.max], dtype=dtype),
+                       DataError, "unused")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_passes(self, dtype):
+        require_finite(np.zeros((0, 3), dtype=dtype), DataError, "unused")
+
+    def test_allocates_no_mask(self):
+        # an elementwise np.isfinite would build a 4 MB boolean array here
+        array = np.ones(2**22, dtype=np.float32)
+        array[-1] = np.nan
+        tracemalloc.start()
+        try:
+            require_finite(array[:-1], DataError, "unused")
+            with pytest.raises(DataError):
+                require_finite(array, DataError, "non-finite")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
+def elementwise_isfinite_calls(source: str) -> list[int]:
+    """Lines of every call in `source` to an `isfinite` other than
+    `math.isfinite`: np.isfinite, numpy.isfinite or a bare imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "isfinite":
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and func.attr == "isfinite" and not (
+                isinstance(func.value, ast.Name) and func.value.id == "math"):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneFinitenessCheck:
+    def test_no_elementwise_isfinite_in_the_package(self):
+        package = Path(thriftynet.__file__).parent
+        sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+        assert "require_finite(" in sources["errors.py"]  # the scan sees the package
+        found = [(name, line) for name, source in sources.items()
+                 for line in elementwise_isfinite_calls(source)]
+        assert found == []
+
+    @pytest.mark.parametrize("call", [
+        "np.isfinite(a).all()", "np.all(np.isfinite(g))", "numpy.isfinite(a)",
+        "not np.isfinite(loss)", "isfinite(a)",
+    ])
+    def test_scan_sees_an_elementwise_check(self, call):
+        assert elementwise_isfinite_calls(f"def f():\n    {call}\n") == [2]
+
+    @pytest.mark.parametrize("call", [
+        "math.isfinite(x)", "require_finite(a, DataError, m)", "np.isnan(a)",
+    ])
+    def test_scan_passes_a_scalar_or_shared_check(self, call):
+        assert elementwise_isfinite_calls(f"def f():\n    {call}\n") == []

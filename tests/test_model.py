@@ -226,6 +226,12 @@ def model_values(model):
     return found
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-12])
+def test_gradcheck_rejects_a_tolerance_that_cannot_judge(tol):
+    with pytest.raises(ConfigurationError, match="tolerance must be finite and >= 0"):
+        check_model_gradients(tol=tol)
+
+
 class TestNonSquareKernels:
     """An a x b kernel with a != b is same-padded per axis, so it keeps every
     activation's height and width."""

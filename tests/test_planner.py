@@ -71,6 +71,14 @@ class TestMacCount:
         doubled = mac_count(config_for(16, 4, 0), (16, 16))
         assert doubled.per_iteration == tuple(4 * m for m in base.per_iteration)
 
+    @pytest.mark.parametrize("input_hw", [(2, 8), (8, 3)])
+    def test_pools_must_fit_the_input_as_the_model_requires(self, input_hw):
+        config = config_for(4, 3, 0, schedule=(2, 1, 2))  # needs 4x4
+        with pytest.raises(ConfigurationError, match="2 halvings but input is only"):
+            mac_count(config, input_hw)
+        with pytest.raises(ConfigurationError, match="2 halvings but input is only"):
+            ThriftyNet(config).forward(np.zeros((1, 3, *input_hw), dtype=np.float32))
+
     def test_resolution_follows_schedule(self):
         config = config_for(4, 3, 0, schedule=(2, 1, 2))
         counts = mac_count(config, (8, 8))

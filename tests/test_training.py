@@ -12,7 +12,7 @@ from thriftynet.data import class_balanced_subset
 from thriftynet.errors import CheckpointError, ConfigurationError, DataError, NumericalError
 from thriftynet.gradcheck import finite_difference, max_rel_error
 from thriftynet.model import ThriftyConfig, ThriftyNet, load_model, serialize_model
-from thriftynet.planner import make_schedule
+from thriftynet.planner import mac_count, make_schedule
 from thriftynet.tensor import Value
 from thriftynet.training import (
     SGD,
@@ -542,6 +542,26 @@ class TestSweep:
         assert rows[0][-1] == "ok"
         _, written = read_csv(out / "sweep.csv")
         assert len(written) == 1
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, tiny_pair, repeats):
+        # repeats=0 once returned a NaN accuracy marked ok
+        train_ds, test_ds = tiny_pair
+        with pytest.raises(ConfigurationError, match=f"repeats must be >= 1, got {repeats}"):
+            sweep([tiny_model_config()], train_ds, test_ds, tiny_train_config(epochs=1),
+                  repeats=repeats)
+
+    def test_a_point_whose_pools_do_not_fit_fails_and_the_sweep_goes_on(self, tiny_pair):
+        train_ds, test_ds = tiny_pair
+        assert train_ds.images.shape[2:] == (32, 32)
+        unfit = ThriftyConfig(filters=6, iterations=6, schedule=(2,) * 6, history=0,
+                              num_classes=10)  # 64 > 32: the model refuses the images
+        rows = sweep([unfit, tiny_model_config()], train_ds, test_ds,
+                     tiny_train_config(epochs=1))
+        assert rows[0][-1] == "failed: ConfigurationError"
+        assert np.isnan(rows[0][5]) and np.isnan(rows[0][6])  # macs_total, accuracy
+        assert rows[1][-1] == "ok"
+        assert rows[1][5] == mac_count(tiny_model_config(), (32, 32)).total
 
 
 @pytest.mark.parametrize("call,name", [
